@@ -241,7 +241,7 @@ def _suite_penalty(seed):
     grid = np.linspace(-10.0, 10.0, 801)
     worst_dom = -math.inf
     for rule in th.rule_catalog(lam=lam):
-        if rule.kind in ("ridge", "lr"):
+        if rule.kind not in th.LAMBDA_KINDS:
             continue
         spec = pen.PenaltySpec(rule=rule)
         gap = pen.penalty_theta(spec, grid, lam_override=lam) - pen.penalty_hard(grid, lam)
@@ -379,8 +379,7 @@ def _suite_lemma7(seed):
                 probes = [beta_t1, np.zeros(20), rng.standard_normal(20), 2.0 * rng.standard_normal(20)]
                 for probe in probes:
                     slack = triangle_inequality_check(beta_t, beta_t1, probe, scaled, spec)
-                    r = scaled.X @ probe - scaled.y
-                    f_probe = 0.5 * float(r @ r) + float(np.sum(pen.penalty_theta(spec, probe)))
+                    f_probe = pen.energy(spec, scaled, probe, 1.0)
                     worst = min(worst, slack / (1.0 + abs(f_probe)))
         checks.append((f"lemma7[{rule.kind}]", worst >= -1e-8, f"min normalized slack {worst:.2e}"))
     return checks

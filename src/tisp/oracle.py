@@ -227,11 +227,7 @@ def check_theta_equation(beta, problem: Problem, rule: th.ThresholdRule,
         raise ValueError(f"beta has shape {b.shape}, expected ({problem.p},)")
     v = b + Xs.T @ (y - Xs @ b)
     residual = float(np.max(np.abs(b - th.apply_vec(rule, v)))) if problem.p else 0.0
-    jumps = th.discontinuities(rule)
-    flag = bool(
-        jumps and v.size and
-        np.min(np.abs(np.abs(v)[:, None] - np.array(jumps)[None, :])) < 1e-9
-    )
+    flag = th.near_jump(v, th.discontinuities(rule), 1e-9)
     return ThetaReport(residual=residual, continuity_flag=flag, passed=residual <= tol)
 
 
@@ -332,7 +328,7 @@ def regularity_slack(assumption: str, X, beta, beta_prime, rule: th.ThresholdRul
 
 def _lam_arg(rule: th.ThresholdRule, lam: float):
     # ridge and lr penalties take no threshold; others evaluate at the probe lam
-    return None if rule.kind in ("ridge", "lr") else lam
+    return lam if rule.kind in th.LAMBDA_KINDS else None
 
 
 def probe_regularity(config: RegularityProbeConfig, problem: Problem,

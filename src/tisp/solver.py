@@ -190,7 +190,7 @@ class SolverConfig:
             raise ConfigurationError("max_iter must be >= 1")
         if self.record_every < 1:
             raise ConfigurationError("record_every must be >= 1")
-        if self.schedule is not None and self.rule.kind in ("ridge", "lr"):
+        if self.schedule is not None and self.rule.kind not in th.LAMBDA_KINDS:
             raise ConfigurationError(f"rule {self.rule.kind!r} has no threshold to schedule")
         if self.rule.kind in th.LAMBDA_KINDS and self.rule.lam is None and self.schedule is None:
             raise ConfigurationError(f"rule {self.rule.kind!r} needs lambda or a schedule")
@@ -296,8 +296,22 @@ def tisp_step(beta, scaled_problem: Problem, rule: th.ThresholdRule,
         raise ValueError(f"beta has shape {beta.shape}, expected ({Xs.shape[1]},)")
     rule_a, lam_scale = stepsize_transform(rule, alpha)
     override = None if lam is None else lam_scale * float(lam)
+    return _step(beta, Xs, y, alpha, rule_a, override)[1]
+
+
+def _step(beta, Xs, y, alpha, rule_a, override, it=1):
+    """Gradient point v = beta + alpha * Xs'(y - Xs beta) and the step Theta(v);
+    SolverError when either is not finite (`it` numbers the iteration)."""
     v = beta + alpha * (Xs.T @ (y - Xs @ beta))
-    return th.apply_vec(rule_a, v, override)
+    if np.isfinite(v).all():
+        beta_new = th.apply_vec(rule_a, v, override)
+        if np.isfinite(beta_new).all():
+            return v, beta_new
+    raise SolverError(
+        f"non-finite iterate at iteration {it} "
+        f"(max |gradient point| = {np.max(np.abs(v)):.3g}); "
+        "check the scaling and threshold configuration"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +435,8 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
     trace = IterateTrace(has_errors=problem.beta_star is not None)
     bstar = problem.beta_star
     lam_t = None
+    jump_sets = {}  # threshold override -> array of the rule's jump locations
     reason = "max_iter"
-    it = 0
 
     for it in range(1, config.max_iter + 1):
         if config.schedule is not None:
@@ -431,25 +445,18 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
             lam_t = rule.lam
         override = None if lam_t is None else lam_scale * lam_t
 
-        resid = y - Xs @ beta
-        v = beta + config.alpha * (Xs.T @ resid)
-        jumps = th.discontinuities(rule_a, override)
-        if jumps and v.size and np.min(np.abs(np.abs(v)[:, None] - np.array(jumps)[None, :])) < 1e-12:
+        v, beta_new = _step(beta, Xs, y, config.alpha, rule_a, override, it)
+        jumps = jump_sets.get(override)
+        if jumps is None:
+            jumps = jump_sets[override] = np.array(th.discontinuities(rule_a, override))
+        if th.near_jump(v, jumps, 1e-12):
             trace.flagged.append(it)
-        beta_new = th.apply_vec(rule_a, v, override)
-        if not np.all(np.isfinite(beta_new)):
-            raise SolverError(
-                f"non-finite iterate at iteration {it} "
-                f"(max |gradient point| = {np.max(np.abs(v)):.3g}); "
-                "check the scaling and threshold configuration"
-            )
-        fp_res = float(np.max(np.abs(beta_new - beta))) if problem.p else 0.0
+        fp_res = float(np.abs(beta_new - beta).max()) if problem.p else 0.0
         beta = beta_new
         done = fp_res <= config.tol or it == config.max_iter
 
         if it % config.record_every == 0 or done:
-            r_new = y - Xs @ beta
-            obj = float(0.5 * r_new @ r_new + np.sum(pen.penalty_theta(pen_spec, beta, lam_t)))
+            obj = pen._objective(pen_spec, Xs, y, beta, 1.0, lam_t)
             errs = None
             if bstar is not None:
                 delta = unscale(beta) - bstar
@@ -464,12 +471,8 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
             break
 
     # fixed-point residual at the final iterate, at the final threshold
-    override = None if lam_t is None else lam_scale * lam_t
-    v = beta + config.alpha * (Xs.T @ (y - Xs @ beta))
-    theta_res = float(np.max(np.abs(beta - th.apply_vec(rule_a, v, override)))) if problem.p else 0.0
-
-    r_fin = y - Xs @ beta
-    obj_fin = float(0.5 * r_fin @ r_fin + np.sum(pen.penalty_theta(pen_spec, beta, lam_t)))
+    theta_v = _step(beta, Xs, y, config.alpha, rule_a, override, it)[1]
+    theta_res = float(np.max(np.abs(beta - theta_v))) if problem.p else 0.0
     return SolveResult(
         beta=unscale(beta),
         trace=trace,
@@ -478,7 +481,7 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
         rho=rho,
         theta_residual=theta_res,
         final_lambda=lam_t,
-        objective=obj_fin,
+        objective=trace.objective[-1],  # the last iteration is always recorded
     )
 
 
@@ -534,8 +537,7 @@ def triangle_inequality_check(beta_t, beta_t1, probe, scaled_problem: Problem, s
         return float(v @ v - xv @ xv)
 
     def f(b):
-        r = Xs @ b - y
-        return float(0.5 * r @ r + np.sum(pen.penalty_theta(spec, b)))
+        return pen._objective(spec, Xs, y, b)
 
     lhs = 0.5 * (1.0 - L) * float((beta_t1 - probe) @ (beta_t1 - probe)) + 0.5 * wnorm2(beta_t1 - beta_t)
     rhs = 0.5 * wnorm2(beta_t - probe) + f(probe) - f(beta_t1)

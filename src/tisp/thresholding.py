@@ -44,9 +44,6 @@ _PARAMS = {
 # kinds whose threshold parameter is lambda itself
 LAMBDA_KINDS = ("soft", "hard", "elastic-net", "berhu", "hard-ridge", "scad", "mcp")
 
-# kinds with a jump discontinuity at the threshold
-DISCONTINUOUS_KINDS = ("hard", "hard-ridge", "lr")
-
 
 class RuleParseError(ValueError):
     """Raised when a rule spec string cannot be parsed."""
@@ -92,7 +89,7 @@ class ThresholdRule:
                 raise ValueError(f"parameter {name!r} not valid for rule {self.kind!r}")
             if val is None and name in allowed:
                 raise ValueError(f"rule {self.kind!r} requires parameter {name!r}")
-        if self.kind in ("ridge", "lr"):
+        if self.kind not in LAMBDA_KINDS:
             if self.lam is not None:
                 raise ValueError(f"rule {self.kind!r} does not take lambda")
         elif self.lam is not None:
@@ -111,30 +108,23 @@ class ThresholdRule:
 
     @property
     def contraction(self) -> float:
-        """Contraction constant L = 1 - essinf d Theta^{-1}/du."""
-        if self.kind in ("soft", "berhu"):
-            return 0.0
-        if self.kind in ("ridge", "elastic-net"):
-            return -self.eta
-        if self.kind in ("hard", "hard-ridge", "lr"):
+        """Contraction constant L = 1 - essinf d Theta^{-1}/du, minus the least
+        slope of the integrand pieces.  The slopes do not depend on lambda, so
+        the pieces are taken at lambda = 1: a template without lambda has L too.
+        """
+        if self.kind == "lr":
             return 1.0
-        if self.kind == "scad":
-            return 1.0 / (self.a - 1.0)
-        if self.kind == "mcp":
-            return 1.0 / self.gamma
-        raise AssertionError(self.kind)
+        lam = 1.0 if self.kind in LAMBDA_KINDS else None
+        # 0.0 - m keeps a flat least slope at +0.0
+        return 0.0 - min(m for _, _, m, _ in integrand_pieces(self, lam))
 
     def effective_threshold(self) -> float:
         """Boundary of the zero region, tau = Theta^{-1}(0)."""
-        if self.kind == "ridge":
-            return 0.0
-        if self.kind == "lr":
-            return _lr_zero_boundary(self.zeta, self.r)
-        return float(self.lam)
+        return inverse(self, 0.0)
 
     def with_lambda(self, lam: float) -> "ThresholdRule":
         """Copy of the rule with a different threshold parameter."""
-        if self.kind in ("ridge", "lr"):
+        if self.kind not in LAMBDA_KINDS:
             raise ValueError(f"rule {self.kind!r} has no lambda to replace")
         return replace(self, lam=float(lam))
 
@@ -198,6 +188,14 @@ def _lr_root(z, zeta, r, tol=1e-12, max_iter=200):
 # apply / inverse
 # ---------------------------------------------------------------------------
 
+def rule_lambda(rule: ThresholdRule, lam_override: float | None = None) -> float | None:
+    """Lambda in force for one call: the override if given, else the rule's own."""
+    if lam_override is not None and rule.kind not in LAMBDA_KINDS:
+        raise ValueError(f"rule {rule.kind!r} has no threshold parameter to override")
+    return rule.lam if lam_override is None else float(lam_override)
+
+
+# Per kind, not from integrand_pieces: a table lookup ran 2-4x slower per call (2-core VM).
 def apply_vec(rule: ThresholdRule, t, lam_override: float | None = None) -> np.ndarray:
     """Apply the rule componentwise to an array.
 
@@ -207,9 +205,7 @@ def apply_vec(rule: ThresholdRule, t, lam_override: float | None = None) -> np.n
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ValueError("thresholding input must be finite")
-    if lam_override is not None and rule.kind in ("ridge", "lr"):
-        raise ValueError(f"rule {rule.kind!r} has no threshold parameter to override")
-    lam = rule.lam if lam_override is None else float(lam_override)
+    lam = rule_lambda(rule, lam_override)
     z = np.abs(t)
     s = np.sign(t)
     kind = rule.kind
@@ -281,89 +277,62 @@ def inverse(rule: ThresholdRule, u: float, lam_override: float | None = None) ->
     """
     if not (math.isfinite(u) and u >= 0.0):
         raise ValueError("inverse is defined for finite u >= 0")
-    if lam_override is not None and rule.kind in ("ridge", "lr"):
-        raise ValueError(f"rule {rule.kind!r} has no threshold parameter to override")
-    lam = rule.lam if lam_override is None else float(lam_override)
-    kind = rule.kind
-
-    if kind == "soft":
-        return u + lam
-    if kind == "ridge":
-        return u * (1.0 + rule.eta)
-    if kind == "hard":
-        return max(u, lam)
-    if kind == "elastic-net":
-        return u * (1.0 + rule.eta) + lam
-    if kind == "berhu":
-        eta = rule.eta
-        if eta == 0.0 or u <= lam / eta:
-            return u + lam
-        return u * (1.0 + eta)
-    if kind == "hard-ridge":
-        return max(u * (1.0 + rule.eta), lam)
-    if kind == "scad":
-        a = rule.a
-        if u <= lam:
-            return u + lam
-        if u <= a * lam:
-            return ((a - 2.0) * u + a * lam) / (a - 1.0)
+    if rule.kind != "lr":
+        pieces = integrand_pieces(rule, lam_override)
+        return next((1.0 + m) * u + q for _, hi, m, q in pieces if u <= hi)
+    rule_lambda(rule, lam_override)  # lr has no lambda to override
+    zeta, r = rule.zeta, rule.r
+    if zeta == 0.0:
         return u
-    if kind == "mcp":
-        g = rule.gamma
-        if u < g * lam:
-            return u * (1.0 - 1.0 / g) + lam
-        return u
-    if kind == "lr":
-        zeta, r = rule.zeta, rule.r
-        if zeta == 0.0:
-            return u
-        jump = _lr_jump(zeta, r)
-        if u < jump:
-            return _lr_zero_boundary(zeta, r)
-        return u + zeta * r * u ** (r - 1.0)
-    raise AssertionError(kind)
+    if u < _lr_jump(zeta, r):
+        return _lr_zero_boundary(zeta, r)
+    return u + zeta * r * u ** (r - 1.0)
 
 
 def discontinuities(rule: ThresholdRule, lam_override: float | None = None) -> tuple[float, ...]:
-    """Positive |t| locations where the rule jumps (empty for continuous rules)."""
-    if rule.kind in ("hard", "hard-ridge"):
-        lam = rule.lam if lam_override is None else float(lam_override)
-        return (lam,) if lam > 0 else ()
+    """Positive |t| locations where the rule jumps (empty for continuous rules).
+
+    Theta jumps where Theta^{-1} is flat: the pieces of slope -1.
+    """
     if rule.kind == "lr":
-        t0 = _lr_zero_boundary(rule.zeta, rule.r)
+        t0 = inverse(rule, 0.0, lam_override)
         return (t0,) if t0 > 0 else ()
-    return ()
+    return tuple(q for _, _, m, q in integrand_pieces(rule, lam_override) if m == -1.0)
+
+
+def near_jump(t: np.ndarray, jumps, tol: float) -> bool:
+    """Whether some |t_j| lies within `tol` of a jump location."""
+    jumps = np.asarray(jumps)
+    return bool(jumps.size and t.size and np.abs(np.abs(t)[:, None] - jumps).min() < tol)
 
 
 def integrand_pieces(rule: ThresholdRule, lam_override: float | None = None):
     """Pieces of s(u) = Theta^{-1}(u) - u on u > 0 as (lo, hi, slope, intercept).
 
-    s is piecewise linear for every rule except lr; callers must treat lr
-    separately.  Zero-width pieces are dropped.
+    For the eight piecewise-linear kinds these pieces are the single source
+    of Theta^{-1} (`inverse`), the contraction constant L (minus the least
+    slope), the effective threshold tau = Theta^{-1}(0) and the jumps (flat
+    pieces, slope -1).  Adding a piecewise-linear rule means adding its
+    pieces here, its Theta to `apply_vec` and its penalty to
+    `penalty._penalty_theta_closed`.  lr is not piecewise linear and raises.
+    Zero-width pieces are dropped.
     """
     if rule.kind == "lr":
         raise ValueError("lr integrand is not piecewise linear")
-    lam = (rule.lam if lam_override is None else float(lam_override)) or 0.0
+    # soft and ridge are elastic-net at eta = 0 and at lambda = 0; hard is
+    # hard-ridge at eta = 0
+    lam = rule_lambda(rule, lam_override) or 0.0
+    eta = rule.eta or 0.0
     kind = rule.kind
     inf = math.inf
-    if kind == "soft":
-        pieces = [(0.0, inf, 0.0, lam)]
-    elif kind == "ridge":
-        pieces = [(0.0, inf, rule.eta, 0.0)]
-    elif kind == "hard":
-        pieces = [(0.0, lam, -1.0, lam), (lam, inf, 0.0, 0.0)]
-    elif kind == "elastic-net":
-        pieces = [(0.0, inf, rule.eta, lam)]
-    elif kind == "berhu":
-        eta = rule.eta
-        if eta == 0.0:
-            pieces = [(0.0, inf, 0.0, lam)]
-        else:
-            pieces = [(0.0, lam / eta, 0.0, lam), (lam / eta, inf, eta, 0.0)]
-    elif kind == "hard-ridge":
-        eta = rule.eta
+    if kind in ("soft", "ridge", "elastic-net"):
+        pieces = [(0.0, inf, eta, lam)]
+    elif kind in ("hard", "hard-ridge"):
         knot = lam / (1.0 + eta)
         pieces = [(0.0, knot, -1.0, lam), (knot, inf, eta, 0.0)]
+    elif kind == "berhu":
+        knot = lam / eta if eta else inf
+        pieces = [(0.0, knot, 0.0, lam), (knot, inf, eta, 0.0)]
     elif kind == "scad":
         a = rule.a
         pieces = [

@@ -119,6 +119,18 @@ def test_solve_dimension_mismatch(capsys, tmp_path):
     assert "error" in err
 
 
+def test_solve_overflow_is_a_solver_failure(capsys, tmp_path):
+    design = tmp_path / "X.csv"
+    response = tmp_path / "y.csv"
+    design.write_text("1.0\n1.0\n")
+    response.write_text("1.7e308\n1.7e308\n")
+    code, out, err = run(capsys, ["solve", "--design", str(design),
+                                  "--response", str(response),
+                                  "--rule", "soft(lambda=1)"])
+    assert code == 1
+    assert "solver failure: non-finite iterate" in err
+
+
 def test_solve_non_convergence_exits_2(capsys, tmp_path):
     rng = np.random.default_rng(0)
     X = rng.standard_normal((10, 4))

@@ -270,6 +270,13 @@ def test_solver_error_on_nonfinite_iterates(monkeypatch):
         solve(prob, SolverConfig(rule=rule("soft(lambda=1)")))
 
 
+def test_solver_error_on_overflowing_gradient_point():
+    # Xs'(y - Xs beta) overflows to inf at the first iteration
+    prob = Problem(np.ones((2, 1)), np.array([1.7e308, 1.7e308]))
+    with pytest.raises(SolverError, match="non-finite iterate at iteration 1"):
+        solve(prob, SolverConfig(rule=rule("soft(lambda=1)")))
+
+
 def test_trace_csv_columns_and_error_fields():
     bstar = np.array([2.0, 0.0, -1.0])
     rng = np.random.default_rng(11)

@@ -6,6 +6,7 @@ is checked against hand-computed closed forms.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +35,41 @@ CATALOG = rule_catalog()
 
 def rule(text):
     return parse_rule(text, require_lambda=False)
+
+
+def random_rules(seed=0, draws=6):
+    """Seeded sweep: every kind at lambda = 0 (lr at zeta = 0) and at random
+    lambda with random parameters, plus berhu with eta = 0."""
+    rng = np.random.default_rng(seed)
+    rules = []
+    for i in range(draws):
+        lam = 0.0 if i % 2 == 0 else float(rng.uniform(0.1, 2.0))
+        rules += rule_catalog(
+            lam=lam,
+            eta=float(rng.uniform(0.0, 2.0)),
+            a=2.0 + float(rng.uniform(0.05, 3.0)),
+            gamma=1.0 + float(rng.uniform(0.05, 3.0)),
+            r=float(rng.uniform(0.1, 0.9)),
+            zeta=float(rng.uniform(0.1, 2.0)) if lam else 0.0,
+        )
+        rules.append(ThresholdRule("berhu", lam=float(rng.uniform(0.1, 2.0)), eta=0.0))
+    return rules
+
+
+SWEEP = random_rules()
+OVERRIDE = dict(zip(CATALOG + SWEEP, np.random.default_rng(1).uniform(0.0, 2.0, len(CATALOG + SWEEP))))
+
+
+def overrides(r):
+    """The rule's own threshold, plus a random override for lambda kinds."""
+    return [None, float(OVERRIDE[r])] if r.kind in LAMBDA_KINDS else [None]
+
+
+def knots(r, lam_override=None):
+    """Interior knots of Theta^{-1}: where its pieces meet."""
+    if r.kind == "lr":
+        return [_lr_jump(r.zeta, r.r)]
+    return [lo for lo, _, _, _ in integrand_pieces(r, lam_override) if lo > 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -116,15 +152,20 @@ def test_lr_matches_brute_force_prox():
 # ---------------------------------------------------------------------------
 
 def test_inverse_is_grid_supremum():
-    # Theta^{-1}(u) = sup{t : Theta(t) <= u}, checked against a dense grid
+    # Theta^{-1}(u) = sup{t : Theta(t) <= u}, checked against a dense grid,
+    # also exactly on the knots and under a lambda override
     t = np.linspace(0.0, 25.0, 50001)
     spacing = t[1] - t[0]
-    for r in CATALOG:
-        out = apply_vec(r, t)
-        for u in [0.0, 0.25, 0.5, 1.0, 1.7, 2.5, 4.0]:
-            ok = t[out <= u + 1e-9]
-            grid_sup = float(ok[-1])
-            assert inverse(r, u) == pytest.approx(grid_sup, abs=2 * spacing), (r.kind, u)
+    for r in CATALOG + SWEEP:
+        for lo in overrides(r):
+            out = apply_vec(r, t, lo)
+            us = [0.0, 0.25, 0.5, 1.0, 1.7, 2.5, 4.0] + [k for k in knots(r, lo) if k <= 6.0]
+            for u in us:
+                ok = t[out <= u + 1e-9]
+                grid_sup = float(ok[-1])
+                assert inverse(r, u, lo) == pytest.approx(grid_sup, abs=2 * spacing), (str(r), lo, u)
+                if lo is not None:
+                    assert inverse(r, u, lo) == inverse(r.with_lambda(lo), u)
 
 
 def test_inverse_frozen():
@@ -204,11 +245,34 @@ EXPECTED_CONTRACTION = {
 }
 
 
+def stored_contraction(r):
+    """The per-kind constants L as stated in closed form."""
+    if r.kind in ("soft", "berhu"):
+        return 0.0
+    if r.kind in ("ridge", "elastic-net"):
+        return -r.eta
+    if r.kind == "scad":
+        return 1.0 / (r.a - 1.0)
+    if r.kind == "mcp":
+        return 1.0 / r.gamma
+    return 1.0  # hard, hard-ridge, lr
+
+
 def test_contraction_table():
     for r in CATALOG:
         assert r.contraction == pytest.approx(EXPECTED_CONTRACTION[r.kind], abs=1e-12)
         est = estimate_contraction(r, default_contraction_grid(r))
         assert abs(est - r.contraction) <= 1e-3, (r.kind, est)
+    for r in SWEEP:
+        assert r.contraction == stored_contraction(r), str(r)
+        if r.kind in LAMBDA_KINDS:
+            # a template without lambda keeps the constant
+            assert replace(r, lam=None).contraction == stored_contraction(r), str(r)
+        if r.effective_threshold() > 0 or r.kind == "ridge":
+            # at lambda = 0 (zeta = 0) a rule degenerates to a map whose
+            # inverse has no piece of least slope to estimate
+            est = estimate_contraction(r, default_contraction_grid(r))
+            assert abs(est - r.contraction) <= 1e-3, (str(r), est)
 
 
 def test_contraction_parameter_dependence():
@@ -224,6 +288,12 @@ def test_effective_threshold():
     assert values["lr"] == pytest.approx(1.5)
     for kind in LAMBDA_KINDS:
         assert values[kind] == 1.0
+    for r in SWEEP:
+        if r.kind == "lr":
+            expected = _lr_zero_boundary(r.zeta, r.r)
+        else:
+            expected = r.lam if r.kind in LAMBDA_KINDS else 0.0
+        assert r.effective_threshold() == expected, str(r)
 
 
 def test_discontinuities():
@@ -240,6 +310,22 @@ def test_discontinuities():
     }
     for r in CATALOG:
         assert discontinuities(r) == pytest.approx(expected[r.kind])
+    for r in SWEEP:
+        for lo in overrides(r):
+            lam = r.lam if lo is None else lo
+            if r.kind in ("hard", "hard-ridge"):
+                want = (lam,) if lam > 0 else ()
+            elif r.kind == "lr":
+                t0 = _lr_zero_boundary(r.zeta, r.r)
+                want = (t0,) if t0 > 0 else ()
+            else:
+                want = ()
+            got = discontinuities(r, lo)
+            assert got == want, (str(r), lo)
+            for d in got:
+                # Theta is zero at the jump and leaps to a fraction of it beyond
+                below, beyond = apply_vec(r, np.array([d, d * (1.0 + 1e-12)]), lo)
+                assert below == 0.0 and beyond >= 0.1 * d, (str(r), lo, d)
 
 
 def test_default_contraction_grid():
