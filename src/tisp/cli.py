@@ -277,7 +277,7 @@ def _suite_descent(seed):
                 worst_auto = max(worst_auto, (b - a) / (1.0 + abs(a)))
 
             # edge of the exact descent region: ||X/rho||^2 = 2 - L, margin 0.1%
-            rho_edge = spectral_norm(X) * 1.001 / math.sqrt(2.0 - rule.contraction)
+            rho_edge = problem.norm * 1.001 / math.sqrt(2.0 - rule.contraction)
             scaled = Problem(X / rho_edge, y)
             beta = np.zeros(30)
             f_prev = pen.energy(spec, scaled, beta, 1.0)
@@ -372,7 +372,7 @@ def _suite_lemma7(seed):
         for _ in range(5):
             X, y, _ = _random_instance(rng, 10, 20)
             problem = Problem(X, y)
-            scaled, _ = scale_problem(problem, 1.02 * spectral_norm(X))
+            scaled, _ = scale_problem(problem, 1.02 * problem.norm)
             for _ in range(5):
                 beta_t = rng.standard_normal(20)
                 beta_t1 = tisp_step(beta_t, scaled, rule)

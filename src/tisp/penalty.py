@@ -218,12 +218,11 @@ def energy(spec, problem, beta, rho: float, lam_override: float | None = None) -
     X, y = problem.X, problem.y
     if beta.shape != (X.shape[1],):
         raise ValueError(f"beta has shape {beta.shape}, expected ({X.shape[1]},)")
-    return _objective(spec, X, y, beta, rho, lam_override)
+    return _objective(spec, X @ beta - y, rho * beta, lam_override)
 
 
-def _objective(spec: PenaltySpec, X, y, beta, rho: float = 1.0, lam: float | None = None) -> float:
-    # `energy` without its input checks, for callers that hold a PenaltySpec
-    # and a beta of matching shape (the solver calls it on every recorded
-    # iteration)
-    resid = X @ beta - y
-    return float(0.5 * resid @ resid + penalty_theta(spec, rho * beta, lam).sum())
+def _objective(spec: PenaltySpec, resid, t, lam: float | None = None) -> float:
+    # 0.5*||resid||^2 + sum_j P(|t_j|): `energy` without its input checks, at
+    # a residual the caller already holds (the solver passes y - Xs beta, whose
+    # exact negation leaves the sum unchanged, on every recorded iteration)
+    return float(0.5 * resid @ resid + penalty_theta(spec, t, lam).sum())

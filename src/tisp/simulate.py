@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -314,14 +315,24 @@ def fit_decay_rate(e_seq, plateau: float):
     return kappa, 0.0 < kappa <= 1.0
 
 
-def _decay_task(args) -> DecayResult:
-    spec, seed, rule_str = args
-    lam = resolve_lambda(spec, spec.p)
-    rule = resolve_rule(rule_str, lam)
-    X = gen_design(spec, seed)
-    beta_star = gen_beta_star(spec, seed, lam=lam)
+def _instance(spec: ExperimentSpec, seed: int, lam: float, n=None, p=None, j_star=None) -> Problem:
+    """One seed's design, beta* and response as a Problem, which then
+    computes its norm once for every rule solved on it."""
+    X = gen_design(spec, seed, n=n, p=p)
+    beta_star = gen_beta_star(spec, seed, p=p, j_star=j_star, lam=lam)
     y = gen_response(X, beta_star, spec.sigma, spec.noise_kind, seed)
-    problem = Problem(X, y, beta_star=beta_star, sigma=spec.sigma)
+    return Problem(X, y, beta_star=beta_star, sigma=spec.sigma)
+
+
+def _decay_task(args) -> list:
+    """Every rule of the spec on one seed's instance."""
+    spec, seed = args
+    lam = resolve_lambda(spec, spec.p)
+    problem = _instance(spec, seed, lam)
+    return [_decay_run(spec, seed, problem, resolve_rule(r, lam)) for r in spec.rules]
+
+
+def _decay_run(spec: ExperimentSpec, seed: int, problem: Problem, rule: th.ThresholdRule) -> DecayResult:
     config = SolverConfig(
         rule=rule,
         rho="auto",
@@ -403,8 +414,8 @@ def fit_step_bound(results) -> dict | None:
 def run_decay_experiment(spec: ExperimentSpec, jobs: int = 1):
     """Returns (list of DecayResult sorted by (seed, rule), summary dict)."""
     _require_decay_fields(spec)
-    tasks = [(spec, seed, r) for seed in spec.seeds for r in spec.rules]
-    results = list(_map_tasks(_decay_task, tasks, jobs))
+    tasks = [(spec, seed) for seed in spec.seeds]
+    results = [r for batch in _map_tasks(_decay_task, tasks, jobs) for r in batch]
     results.sort(key=lambda r: (r.seed, r.rule))
 
     kappas = sorted(r.kappa_hat for r in results if r.fit_ok)
@@ -438,42 +449,43 @@ def run_decay_experiment(spec: ExperimentSpec, jobs: int = 1):
 # rate experiment
 # ---------------------------------------------------------------------------
 
-def _rate_task(args) -> dict:
-    spec, seed, rule_str, n, p, j_star = args
+def _rate_task(args) -> list:
+    """Every rule of the spec on one (cell, seed) instance."""
+    spec, seed, n, p, j_star = args
     lam = resolve_lambda(spec, p)
-    rule = resolve_rule(rule_str, lam)
-    X = gen_design(spec, seed, n=n, p=p)
-    beta_star = gen_beta_star(spec, seed, p=p, j_star=j_star, lam=lam)
-    y = gen_response(X, beta_star, spec.sigma, spec.noise_kind, seed)
-    problem = Problem(X, y, beta_star=beta_star, sigma=spec.sigma)
-    config = SolverConfig(
-        rule=rule,
-        rho="auto",
-        rho_epsilon=spec.rho_epsilon,
-        schedule=parse_schedule(spec.schedule) if spec.schedule else None,
-        tol=spec.tol,
-        max_iter=spec.max_iter,
-        record_every=max(spec.max_iter, 1),
-    )
-    res = solve(problem, config)
-    m = error_metrics(res.beta, problem, res.rho)
-    return {
-        "seed": seed,
-        "rule": str(rule),
-        "n": n,
-        "p": p,
-        "J_star": j_star,
-        "sigma": spec.sigma,
-        "lambda": rule.lam if rule.kind in th.LAMBDA_KINDS else None,
-        "rho": res.rho,
-        "iters": res.iterations,
-        "pred_err": m["pred"],
-        "est_err": m["est"],
-        "weighted_err": m["weighted"],
-        "kappa_hat": None,
-        "plateau": None,
-        "plateau_ratio": None,
-    }
+    problem = _instance(spec, seed, lam, n=n, p=p, j_star=j_star)
+    rows = []
+    for rule_str in spec.rules:
+        rule = resolve_rule(rule_str, lam)
+        config = SolverConfig(
+            rule=rule,
+            rho="auto",
+            rho_epsilon=spec.rho_epsilon,
+            schedule=parse_schedule(spec.schedule) if spec.schedule else None,
+            tol=spec.tol,
+            max_iter=spec.max_iter,
+            record_every=max(spec.max_iter, 1),
+        )
+        res = solve(problem, config)
+        m = error_metrics(res.beta, problem, res.rho)
+        rows.append({
+            "seed": seed,
+            "rule": str(rule),
+            "n": n,
+            "p": p,
+            "J_star": j_star,
+            "sigma": spec.sigma,
+            "lambda": rule.lam if rule.kind in th.LAMBDA_KINDS else None,
+            "rho": res.rho,
+            "iters": res.iterations,
+            "pred_err": m["pred"],
+            "est_err": m["est"],
+            "weighted_err": m["weighted"],
+            "kappa_hat": None,
+            "plateau": None,
+            "plateau_ratio": None,
+        })
+    return rows
 
 
 def rate_grid(spec: ExperimentSpec):
@@ -496,13 +508,8 @@ def run_rate_experiment(spec: ExperimentSpec, jobs: int = 1):
     """
     _require_rate_fields(spec)
     cells = rate_grid(spec)
-    tasks = [
-        (spec, seed, r, n, p, j)
-        for (n, p, j) in cells
-        for seed in spec.seeds
-        for r in spec.rules
-    ]
-    rows = list(_map_tasks(_rate_task, tasks, jobs))
+    tasks = [(spec, seed, n, p, j) for (n, p, j) in cells for seed in spec.seeds]
+    rows = [r for batch in _map_tasks(_rate_task, tasks, jobs) for r in batch]
     rows.sort(key=lambda r: (r["p"], r["J_star"], r["seed"], r["rule"]))
 
     xs, ys, cell_summaries = [], [], []
@@ -544,10 +551,19 @@ def run_rate_experiment(spec: ExperimentSpec, jobs: int = 1):
 # execution and serialization
 # ---------------------------------------------------------------------------
 
+def _worker_count(jobs: int, num_tasks: int) -> int:
+    """Worker processes for `num_tasks` tasks: `jobs`, but no more than there
+    are tasks or CPUs (the pool starts all its workers up front)."""
+    if jobs < 1:
+        raise SpecError(f"jobs must be >= 1, got {jobs}")
+    return max(1, min(jobs, num_tasks, os.cpu_count() or 1))
+
+
 def _map_tasks(fn, tasks, jobs: int):
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = _worker_count(jobs, len(tasks))
+    if workers == 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 
 

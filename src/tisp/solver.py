@@ -11,6 +11,7 @@ norm and every iteration decreases the objective
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, field, replace
@@ -77,6 +78,12 @@ class Problem:
     @property
     def p(self) -> int:
         return self.X.shape[1]
+
+    @functools.cached_property
+    def norm(self) -> float:
+        """||X||_2, computed on first use and then kept: X is a frozen copy,
+        so every solve on this problem shares one norm."""
+        return spectral_norm(self.X)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +272,7 @@ def scale_problem(problem: Problem, rho: float):
     Refuses rho below ||X||_2: the scaled design must satisfy ||X/rho||_2 <= 1
     for the iteration's objective-descent guarantee.
     """
-    norm = spectral_norm(problem.X)
+    norm = problem.norm
     if not (math.isfinite(rho) and rho > 0):
         raise ConfigurationError("rho must be positive and finite")
     if rho < norm * (1.0 - 1e-9):
@@ -296,13 +303,15 @@ def tisp_step(beta, scaled_problem: Problem, rule: th.ThresholdRule,
         raise ValueError(f"beta has shape {beta.shape}, expected ({Xs.shape[1]},)")
     rule_a, lam_scale = stepsize_transform(rule, alpha)
     override = None if lam is None else lam_scale * float(lam)
-    return _step(beta, Xs, y, alpha, rule_a, override)[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # _step reports non-finite values
+        return _step(beta, y - Xs @ beta, Xs, alpha, rule_a, override)[1]
 
 
-def _step(beta, Xs, y, alpha, rule_a, override, it=1):
-    """Gradient point v = beta + alpha * Xs'(y - Xs beta) and the step Theta(v);
-    SolverError when either is not finite (`it` numbers the iteration)."""
-    v = beta + alpha * (Xs.T @ (y - Xs @ beta))
+def _step(beta, r, Xs, alpha, rule_a, override, it=1):
+    """Gradient point v = beta + alpha * Xs'r at the residual r = y - Xs beta,
+    and the step Theta(v); SolverError when either is not finite (`it`
+    numbers the iteration)."""
+    v = beta + alpha * (Xs.T @ r)
     if np.isfinite(v).all():
         beta_new = th.apply_vec(rule_a, v, override)
         if np.isfinite(beta_new).all():
@@ -403,7 +412,7 @@ class SolveResult:
 def resolve_rho(problem: Problem, config: SolverConfig) -> float:
     """Concrete rho for a config: auto picks (1 + eps) * ||X||_2."""
     if isinstance(config.rho, str):
-        return (1.0 + config.rho_epsilon) * spectral_norm(problem.X)
+        return (1.0 + config.rho_epsilon) * problem.norm
     return float(config.rho)
 
 
@@ -438,40 +447,45 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
     jump_sets = {}  # threshold override -> array of the rule's jump locations
     reason = "max_iter"
 
-    for it in range(1, config.max_iter + 1):
-        if config.schedule is not None:
-            lam_t = config.schedule.value(it - 1)
-        elif rule.kind in th.LAMBDA_KINDS:
-            lam_t = rule.lam
-        override = None if lam_t is None else lam_scale * lam_t
+    # Overflow and invalid values are not warned about: the step raises
+    # SolverError on the first non-finite gradient point or iterate.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = y - Xs @ beta  # residual of the current iterate, one matvec per iterate
+        for it in range(1, config.max_iter + 1):
+            if config.schedule is not None:
+                lam_t = config.schedule.value(it - 1)
+            elif rule.kind in th.LAMBDA_KINDS:
+                lam_t = rule.lam
+            override = None if lam_t is None else lam_scale * lam_t
 
-        v, beta_new = _step(beta, Xs, y, config.alpha, rule_a, override, it)
-        jumps = jump_sets.get(override)
-        if jumps is None:
-            jumps = jump_sets[override] = np.array(th.discontinuities(rule_a, override))
-        if th.near_jump(v, jumps, 1e-12):
-            trace.flagged.append(it)
-        fp_res = float(np.abs(beta_new - beta).max()) if problem.p else 0.0
-        beta = beta_new
-        done = fp_res <= config.tol or it == config.max_iter
+            v, beta_new = _step(beta, r, Xs, config.alpha, rule_a, override, it)
+            jumps = jump_sets.get(override)
+            if jumps is None:
+                jumps = jump_sets[override] = np.array(th.discontinuities(rule_a, override))
+            if th.near_jump(v, jumps, 1e-12):
+                trace.flagged.append(it)
+            fp_res = float(np.abs(beta_new - beta).max()) if problem.p else 0.0
+            beta = beta_new
+            r = y - Xs @ beta
+            done = fp_res <= config.tol or it == config.max_iter
 
-        if it % config.record_every == 0 or done:
-            obj = pen._objective(pen_spec, Xs, y, beta, 1.0, lam_t)
-            errs = None
-            if bstar is not None:
-                delta = unscale(beta) - bstar
-                xd = problem.X @ delta
-                p_err = float(xd @ xd)
-                e_err = float(delta @ delta)
-                errs = (p_err, e_err, rho**2 * e_err - p_err)
-            trace.record(it, obj, fp_res, int(np.count_nonzero(beta)), errs)
+            if it % config.record_every == 0 or done:
+                obj = pen._objective(pen_spec, r, beta, lam_t)
+                errs = None
+                if bstar is not None:
+                    delta = unscale(beta) - bstar
+                    xd = problem.X @ delta
+                    p_err = float(xd @ xd)
+                    e_err = float(delta @ delta)
+                    errs = (p_err, e_err, rho**2 * e_err - p_err)
+                trace.record(it, obj, fp_res, int(np.count_nonzero(beta)), errs)
 
-        if fp_res <= config.tol:
-            reason = "converged"
-            break
+            if fp_res <= config.tol:
+                reason = "converged"
+                break
 
-    # fixed-point residual at the final iterate, at the final threshold
-    theta_v = _step(beta, Xs, y, config.alpha, rule_a, override, it)[1]
+        # fixed-point residual at the final iterate, at the final threshold
+        theta_v = _step(beta, r, Xs, config.alpha, rule_a, override, it)[1]
     theta_res = float(np.max(np.abs(beta - theta_v))) if problem.p else 0.0
     return SolveResult(
         beta=unscale(beta),
@@ -537,7 +551,7 @@ def triangle_inequality_check(beta_t, beta_t1, probe, scaled_problem: Problem, s
         return float(v @ v - xv @ xv)
 
     def f(b):
-        return pen._objective(spec, Xs, y, b)
+        return pen._objective(spec, Xs @ b - y, b)
 
     lhs = 0.5 * (1.0 - L) * float((beta_t1 - probe) @ (beta_t1 - probe)) + 0.5 * wnorm2(beta_t1 - beta_t)
     rhs = 0.5 * wnorm2(beta_t - probe) + f(probe) - f(beta_t1)

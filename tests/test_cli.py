@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -124,11 +125,19 @@ def test_solve_overflow_is_a_solver_failure(capsys, tmp_path):
     response = tmp_path / "y.csv"
     design.write_text("1.0\n1.0\n")
     response.write_text("1.7e308\n1.7e308\n")
-    code, out, err = run(capsys, ["solve", "--design", str(design),
-                                  "--response", str(response),
-                                  "--rule", "soft(lambda=1)"])
+    argv = ["solve", "--design", str(design), "--response", str(response),
+            "--rule", "soft(lambda=1)"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, argv)
     assert code == 1
     assert "solver failure: non-finite iterate" in err
+
+    proc = subprocess.run([sys.executable, "-m", "tisp.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("solver failure: non-finite iterate")
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_solve_non_convergence_exits_2(capsys, tmp_path):
@@ -215,11 +224,23 @@ def test_decay_experiment_cli(capsys, tmp_path):
         (out_dir / "decay_summary.json").read_text()
 
 
+RATE_CONFIG = {"ensemble": "gaussian-iid", "sigma": 1.0, "seeds": [0],
+               "rules": ["hard"], "A": 2.0, "p_grid": [40, 80],
+               "J_star_grid": [2, 4], "n_factor": 5.0}
+
+
+def test_experiment_rejects_jobs_below_one(capsys, tmp_path):
+    for kind, payload, jobs in [("decay", DECAY_CONFIG, "0"), ("rate", RATE_CONFIG, "-2")]:
+        cfg = write_config(tmp_path, payload)
+        code, out, err = run(capsys, [kind, "--config", str(cfg),
+                                      "--out", str(tmp_path / kind), "--jobs", jobs])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: jobs must be >= 1, got {jobs}\n"
+
+
 def test_rate_experiment_cli(capsys, tmp_path):
-    cfg = write_config(tmp_path, {"ensemble": "gaussian-iid", "sigma": 1.0,
-                                  "seeds": [0], "rules": ["hard"], "A": 2.0,
-                                  "p_grid": [40, 80], "J_star_grid": [2, 4],
-                                  "n_factor": 5.0})
+    cfg = write_config(tmp_path, RATE_CONFIG)
     out_dir = tmp_path / "rate"
     code, out, err = run(capsys, ["rate", "--config", str(cfg),
                                   "--out", str(out_dir)])

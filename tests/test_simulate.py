@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import tisp.simulate
 from tisp.simulate import (
     ExperimentSpec,
     RESULT_COLUMNS,
@@ -237,6 +238,63 @@ def test_decay_parallel_matches_serial():
     write_summary_json(sum1, sa)
     write_summary_json(sum2, sb)
     assert sa.getvalue() == sb.getvalue()
+
+
+def test_experiments_norm_each_design_once(norm_calls):
+    results, _ = run_decay_experiment(DECAY_SPEC, jobs=1)  # 2 seeds x 2 rules
+    assert len(results) == 4
+    assert norm_calls == [(60, 30)] * 2
+
+    norm_calls.clear()
+    spec = ExperimentSpec(ensemble="gaussian-iid", sigma=1.0, seeds=(0, 1),
+                          rules=("soft", "hard", "mcp"), A=2.0, p_grid=(40, 80),
+                          J_star_grid=(2, 4), n_factor=6.0)
+    rows, _ = run_rate_experiment(spec, jobs=1)  # 4 cells x 2 seeds x 3 rules
+    assert len(rows) == 24
+    assert len(norm_calls) == 8
+
+
+def test_worker_count_is_clamped_to_tasks_and_cpus(monkeypatch):
+    monkeypatch.setattr(tisp.simulate.os, "cpu_count", lambda: 4)
+    worker_count = tisp.simulate._worker_count
+    assert worker_count(1, 10) == 1
+    assert worker_count(3, 10) == 3
+    assert worker_count(64, 10) == 4
+    assert worker_count(64, 2) == 2
+    assert worker_count(5, 0) == 1
+    for bad in (0, -3):
+        with pytest.raises(SpecError, match="jobs must be >= 1"):
+            worker_count(bad, 10)
+    monkeypatch.setattr(tisp.simulate.os, "cpu_count", lambda: None)
+    assert worker_count(8, 10) == 1
+
+
+def test_experiment_pool_size_is_clamped(monkeypatch):
+    # no process is started: the pool is replaced by an in-process recorder
+    pool_sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(tisp.simulate.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(tisp.simulate, "ProcessPoolExecutor", RecordingPool)
+    serial, _ = run_decay_experiment(DECAY_SPEC, jobs=1)
+    pooled, _ = run_decay_experiment(DECAY_SPEC, jobs=1000)
+    assert pool_sizes == [2]  # one task per seed
+    assert [r.row for r in pooled] == [r.row for r in serial]
+    with pytest.raises(SpecError, match="jobs must be >= 1"):
+        run_decay_experiment(DECAY_SPEC, jobs=0)
+    assert pool_sizes == [2]
 
 
 def test_decay_orthonormal_gives_no_fit():

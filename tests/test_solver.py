@@ -1,6 +1,8 @@
 """Solver: scaling, fixed points, descent, stepsizes, schedules, traces."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from tisp.solver import (
     tisp_step,
     triangle_inequality_check,
 )
-from tisp.thresholding import parse_rule, rule_catalog
+from tisp.thresholding import LAMBDA_KINDS, parse_rule, rule_catalog
 
 
 def rule(text):
@@ -86,6 +88,34 @@ def test_resolve_rho():
     assert resolve_rho(prob, cfg) == pytest.approx(1.25 * norm, rel=1e-9)
     cfg2 = SolverConfig(rule=rule("soft(lambda=1)"), rho=7.5)
     assert resolve_rho(prob, cfg2) == 7.5
+
+
+def test_problem_norm_is_the_cached_spectral_norm(norm_calls):
+    prob = random_problem(3, n=9, p=14)
+    assert prob.norm == prob.norm
+    assert norm_calls == [(9, 14)]  # computed on the first read only
+    assert prob.norm == spectral_norm(prob.X)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prob.norm = 1.0
+
+
+def test_auto_rho_solves_share_one_norm(norm_calls):
+    prob = random_problem(4, n=10, p=6)
+    cfg = SolverConfig(rule=rule("soft(lambda=0.5)"))
+    first = solve(prob, cfg)
+    second = solve(prob, SolverConfig(rule=rule("hard(lambda=0.5)")))
+    assert norm_calls == [(10, 6)]
+    assert first.rho == second.rho == 1.01 * prob.norm
+    solve(prob, SolverConfig(rule=rule("soft(lambda=0.5)"), rho=2.0 * prob.norm))
+    assert len(norm_calls) == 1
+
+
+def test_scale_problem_guards_rho_at_the_norm():
+    prob = random_problem(7, n=8, p=5)
+    with pytest.raises(ConfigurationError, match="spectral norm"):
+        scale_problem(prob, prob.norm * (1.0 - 2e-9))
+    scaled, _ = scale_problem(prob, prob.norm)
+    assert np.array_equal(scaled.X, prob.X / prob.norm)
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +301,15 @@ def test_solver_error_on_nonfinite_iterates(monkeypatch):
 
 
 def test_solver_error_on_overflowing_gradient_point():
-    # Xs'(y - Xs beta) overflows to inf at the first iteration
+    # Xs'(y - Xs beta) overflows to inf at the first iteration; the failure
+    # is reported by SolverError alone, without a numpy RuntimeWarning
     prob = Problem(np.ones((2, 1)), np.array([1.7e308, 1.7e308]))
-    with pytest.raises(SolverError, match="non-finite iterate at iteration 1"):
-        solve(prob, SolverConfig(rule=rule("soft(lambda=1)")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SolverError, match="non-finite iterate at iteration 1"):
+            solve(prob, SolverConfig(rule=rule("soft(lambda=1)")))
+        with pytest.raises(SolverError, match="non-finite iterate"):
+            tisp_step(np.zeros(1), prob, rule("soft(lambda=1)"))
 
 
 def test_trace_csv_columns_and_error_fields():
@@ -305,6 +340,27 @@ def test_trace_flags_threshold_grazing():
     res = solve(prob, SolverConfig(rule=rule("hard(lambda=0.6)"), rho=1.0))
     assert res.trace.flagged == [1]
     assert res.beta[0] == 0.0
+
+
+def test_recorded_objective_and_certificate_at_the_carried_residual():
+    # the iterates are replayed with tisp_step, which forms its residual
+    # afresh; solve carries one residual per iterate, and the recorded
+    # objective and the final certificate must be the same numbers exactly
+    for r in rule_catalog(lam=0.6, eta=0.5, gamma=2.5):
+        spec = PenaltySpec(rule=r)
+        lam = r.lam if r.kind in LAMBDA_KINDS else None
+        for seed, max_iter in [(40, 200), (41, 5)]:
+            prob = random_problem(seed, n=15, p=25, y_scale=3.0)
+            res = solve(prob, SolverConfig(rule=r, tol=1e-10, max_iter=max_iter))
+            scaled, _ = scale_problem(prob, res.rho)
+            assert res.trace.iterations == list(range(1, res.iterations + 1))
+            beta = np.zeros(prob.p)
+            for t, obj in zip(res.trace.iterations, res.trace.objective):
+                beta = tisp_step(beta, scaled, r, lam=lam)
+                assert obj == energy(spec, scaled, beta, 1.0, lam), (r.kind, t)
+            assert np.array_equal(beta / res.rho, res.beta)
+            step = tisp_step(beta, scaled, r, lam=lam)
+            assert res.theta_residual == float(np.max(np.abs(beta - step))), r.kind
 
 
 def test_record_every_thins_but_keeps_last():
