@@ -22,7 +22,6 @@ from . import penalty as pen
 from . import simulate as sim
 from . import thresholding as th
 from .solver import (
-    ConfigurationError,
     Problem,
     SolverConfig,
     SolverError,
@@ -162,17 +161,14 @@ def cmd_simulate(args) -> int:
     spec = _load_config(args.config)
     sim._require_decay_fields(spec)
     seed = args.seed if args.seed is not None else spec.seeds[0]
-    lam = sim.resolve_lambda(spec, spec.p)
-    X = sim.gen_design(spec, seed)
-    beta_star = sim.gen_beta_star(spec, seed, lam=lam)
-    y = sim.gen_response(X, beta_star, spec.sigma, spec.noise_kind, seed)
+    inst = sim._instance(spec, seed, sim.resolve_lambda(spec, spec.p))
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "X.csv"), "w", newline="") as f:
-        _write_matrix(X, f)
+        _write_matrix(inst.X, f)
     with open(os.path.join(args.out, "y.csv"), "w", newline="") as f:
-        _write_vector(y, f)
+        _write_vector(inst.y, f)
     with open(os.path.join(args.out, "beta_star.csv"), "w", newline="") as f:
-        _write_vector(beta_star, f)
+        _write_vector(inst.beta_star, f)
     return 0
 
 
@@ -497,16 +493,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (th.RuleParseError, ConfigurationError, sim.SpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    # RuleParseError, ConfigurationError and SpecError are ValueErrors
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

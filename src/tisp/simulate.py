@@ -1,10 +1,12 @@
-"""Synthetic regression instances, error metrics, and experiment engines.
+"""Synthetic regression instances and experiment engines.
 
 Two experiment drivers: ``run_decay_experiment`` tracks the weighted error
 e_t = ||beta_t - beta*||^2_{rho^2 I - X'X} along the iteration and fits its
 geometric decay, and ``run_rate_experiment`` regresses the converged
 prediction error against the sparsity-times-log-dimension rate over a
-(p, J*) grid.  Both are deterministic per config and seed list.
+(p, J*) grid.  Both read their errors from the solve's trace, which
+``solver.error_metrics`` fills, and both are deterministic per config and
+seed list.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import thresholding as th
-from .solver import Problem, SolverConfig, parse_schedule, solve, theory_threshold
+from .solver import Problem, SolverConfig, error_metrics, parse_schedule, solve, theory_threshold
 
 
 class SpecError(ValueError):
@@ -266,17 +268,6 @@ def gen_response(X, beta_star, sigma: float, noise_kind: str, seed: int) -> np.n
     return mean + eps
 
 
-def error_metrics(beta, problem: Problem, rho: float) -> dict:
-    """pred = ||X d||^2, est = ||d||^2, weighted = rho^2 est - pred, d = beta - beta*."""
-    if problem.beta_star is None:
-        raise ValueError("error metrics require a problem with beta_star")
-    delta = np.asarray(beta, dtype=float) - problem.beta_star
-    xd = problem.X @ delta
-    pred = float(xd @ xd)
-    est = float(delta @ delta)
-    return {"pred": pred, "est": est, "weighted": rho * rho * est - pred}
-
-
 # ---------------------------------------------------------------------------
 # decay experiment
 # ---------------------------------------------------------------------------
@@ -324,15 +315,14 @@ def _instance(spec: ExperimentSpec, seed: int, lam: float, n=None, p=None, j_sta
     return Problem(X, y, beta_star=beta_star, sigma=spec.sigma)
 
 
-def _decay_task(args) -> list:
-    """Every rule of the spec on one seed's instance."""
-    spec, seed = args
-    lam = resolve_lambda(spec, spec.p)
-    problem = _instance(spec, seed, lam)
-    return [_decay_run(spec, seed, problem, resolve_rule(r, lam)) for r in spec.rules]
+def _solve_rule(spec: ExperimentSpec, seed: int, problem: Problem, rule: th.ThresholdRule,
+                j_star: int, record_every: int):
+    """Solve one rule on one instance; returns (SolveResult, result row).
 
-
-def _decay_run(spec: ExperimentSpec, seed: int, problem: Problem, rule: th.ThresholdRule) -> DecayResult:
+    The row's errors are the trace's last recorded ones: the final iterate
+    is always recorded, so they are error_metrics of the estimate.  The
+    decay-only columns are left None.
+    """
     config = SolverConfig(
         rule=rule,
         rho="auto",
@@ -340,40 +330,54 @@ def _decay_run(spec: ExperimentSpec, seed: int, problem: Problem, rule: th.Thres
         schedule=parse_schedule(spec.schedule) if spec.schedule else None,
         tol=spec.tol,
         max_iter=spec.max_iter,
-        record_every=1,
+        record_every=record_every,
     )
     res = solve(problem, config)
-    e0 = error_metrics(np.zeros(spec.p), problem, res.rho)["weighted"]
-    e_seq = [e0] + list(res.trace.weighted_err)
-    plateau = float(np.median(e_seq[-10:]))
-    kappa_hat, fit_ok = fit_decay_rate(e_seq, plateau)
-    lam_rule = rule.lam if rule.kind in th.LAMBDA_KINDS else None
-    denom = None
-    if spec.sigma > 0 and lam_rule:
-        denom = spec.sigma**2 * lam_rule**2 * spec.J_star
-    ratio = plateau / denom if denom else None
+    trace = res.trace
     row = {
         "seed": seed,
         "rule": str(rule),
-        "n": spec.n,
-        "p": spec.p,
-        "J_star": spec.J_star,
+        "n": problem.n,
+        "p": problem.p,
+        "J_star": j_star,
         "sigma": spec.sigma,
-        "lambda": lam_rule,
+        "lambda": rule.lam,
         "rho": res.rho,
         "iters": res.iterations,
-        "pred_err": res.trace.pred_err[-1],
-        "est_err": res.trace.est_err[-1],
-        "weighted_err": res.trace.weighted_err[-1],
-        "kappa_hat": kappa_hat,
-        "plateau": plateau,
-        "plateau_ratio": ratio,
+        "pred_err": trace.pred_err[-1],
+        "est_err": trace.est_err[-1],
+        "weighted_err": trace.weighted_err[-1],
+        "kappa_hat": None,
+        "plateau": None,
+        "plateau_ratio": None,
     }
-    return DecayResult(
-        seed=seed, rule=str(rule), lam=lam_rule, e_seq=e_seq,
-        kappa_hat=kappa_hat, fit_ok=fit_ok, plateau=plateau,
-        plateau_ratio=ratio, row=row,
-    )
+    return res, row
+
+
+def _decay_task(args) -> list:
+    """Every rule of the spec on one seed's instance, every iteration recorded."""
+    spec, seed = args
+    lam = resolve_lambda(spec, spec.p)
+    problem = _instance(spec, seed, lam)
+    results = []
+    for rule_str in spec.rules:
+        rule = resolve_rule(rule_str, lam)
+        res, row = _solve_rule(spec, seed, problem, rule, spec.J_star, record_every=1)
+        e0 = error_metrics(np.zeros(spec.p), problem, res.rho)["weighted"]
+        e_seq = [e0] + res.trace.weighted_err
+        plateau = float(np.median(e_seq[-10:]))
+        kappa_hat, fit_ok = fit_decay_rate(e_seq, plateau)
+        denom = None
+        if spec.sigma > 0 and rule.lam:
+            denom = spec.sigma**2 * rule.lam**2 * spec.J_star
+        ratio = plateau / denom if denom else None
+        row.update(kappa_hat=kappa_hat, plateau=plateau, plateau_ratio=ratio)
+        results.append(DecayResult(
+            seed=seed, rule=row["rule"], lam=rule.lam, e_seq=e_seq,
+            kappa_hat=kappa_hat, fit_ok=fit_ok, plateau=plateau,
+            plateau_ratio=ratio, row=row,
+        ))
+    return results
 
 
 def fit_step_bound(results) -> dict | None:
@@ -450,42 +454,15 @@ def run_decay_experiment(spec: ExperimentSpec, jobs: int = 1):
 # ---------------------------------------------------------------------------
 
 def _rate_task(args) -> list:
-    """Every rule of the spec on one (cell, seed) instance."""
+    """Every rule of the spec on one (cell, seed) instance; only the final
+    iterate is recorded."""
     spec, seed, n, p, j_star = args
     lam = resolve_lambda(spec, p)
     problem = _instance(spec, seed, lam, n=n, p=p, j_star=j_star)
-    rows = []
-    for rule_str in spec.rules:
-        rule = resolve_rule(rule_str, lam)
-        config = SolverConfig(
-            rule=rule,
-            rho="auto",
-            rho_epsilon=spec.rho_epsilon,
-            schedule=parse_schedule(spec.schedule) if spec.schedule else None,
-            tol=spec.tol,
-            max_iter=spec.max_iter,
-            record_every=max(spec.max_iter, 1),
-        )
-        res = solve(problem, config)
-        m = error_metrics(res.beta, problem, res.rho)
-        rows.append({
-            "seed": seed,
-            "rule": str(rule),
-            "n": n,
-            "p": p,
-            "J_star": j_star,
-            "sigma": spec.sigma,
-            "lambda": rule.lam if rule.kind in th.LAMBDA_KINDS else None,
-            "rho": res.rho,
-            "iters": res.iterations,
-            "pred_err": m["pred"],
-            "est_err": m["est"],
-            "weighted_err": m["weighted"],
-            "kappa_hat": None,
-            "plateau": None,
-            "plateau_ratio": None,
-        })
-    return rows
+    return [
+        _solve_rule(spec, seed, problem, resolve_rule(r, lam), j_star, record_every=spec.max_iter)[1]
+        for r in spec.rules
+    ]
 
 
 def rate_grid(spec: ExperimentSpec):

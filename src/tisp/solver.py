@@ -324,8 +324,23 @@ def _step(beta, r, Xs, alpha, rule_a, override, it=1):
 
 
 # ---------------------------------------------------------------------------
-# iterate trace
+# error metrics and the iterate trace
 # ---------------------------------------------------------------------------
+
+def error_metrics(beta, problem: Problem, rho: float) -> dict:
+    """pred = ||X d||^2, est = ||d||^2, weighted = rho^2 est - pred, d = beta - beta*.
+
+    The one computation of the three errors: the trace's error columns and
+    the experiments' result rows both come from here.
+    """
+    if problem.beta_star is None:
+        raise ValueError("error metrics require a problem with beta_star")
+    delta = np.asarray(beta, dtype=float) - problem.beta_star
+    xd = problem.X @ delta
+    pred = float(xd @ xd)
+    est = float(delta @ delta)
+    return {"pred": pred, "est": est, "weighted": rho * rho * est - pred}
+
 
 TRACE_COLUMNS = ("iter", "objective", "fp_residual", "support", "pred_err", "est_err", "weighted_err")
 
@@ -334,7 +349,8 @@ TRACE_COLUMNS = ("iter", "objective", "fp_residual", "support", "pred_err", "est
 class IterateTrace:
     """Per-iteration records of the solve.
 
-    Error columns are present only when the problem carries beta_star.
+    Error columns (from `error_metrics`) are present only when the problem
+    carries beta_star.
     ``flagged`` lists iterations whose thresholding argument came within
     1e-12 of a jump discontinuity of the rule.
     """
@@ -355,9 +371,9 @@ class IterateTrace:
         self.fp_residual.append(float(res))
         self.support.append(int(supp))
         if self.has_errors:
-            self.pred_err.append(errs[0])
-            self.est_err.append(errs[1])
-            self.weighted_err.append(errs[2])
+            self.pred_err.append(errs["pred"])
+            self.est_err.append(errs["est"])
+            self.weighted_err.append(errs["weighted"])
 
     def write_csv(self, dest) -> None:
         """Write the trace; `dest` is a path or a text file object."""
@@ -426,8 +442,6 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
     "max_iter").  Raises SolverError if iterates become non-finite.
     """
     rule = config.rule
-    if rule.kind in th.LAMBDA_KINDS and rule.lam is None and config.schedule is None:
-        raise ConfigurationError(f"rule {rule.kind!r} needs a concrete lambda")
     rho = resolve_rho(problem, config)
     scaled, unscale = scale_problem(problem, rho)
     Xs, y = scaled.X, scaled.y
@@ -442,8 +456,7 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
             raise ValueError(f"start has shape {beta.shape}, expected ({problem.p},)")
 
     trace = IterateTrace(has_errors=problem.beta_star is not None)
-    bstar = problem.beta_star
-    lam_t = None
+    lam_t = rule.lam  # None for ridge and lr; a schedule replaces it per iteration
     jump_sets = {}  # threshold override -> array of the rule's jump locations
     reason = "max_iter"
 
@@ -454,8 +467,6 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
         for it in range(1, config.max_iter + 1):
             if config.schedule is not None:
                 lam_t = config.schedule.value(it - 1)
-            elif rule.kind in th.LAMBDA_KINDS:
-                lam_t = rule.lam
             override = None if lam_t is None else lam_scale * lam_t
 
             v, beta_new = _step(beta, r, Xs, config.alpha, rule_a, override, it)
@@ -471,13 +482,7 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
 
             if it % config.record_every == 0 or done:
                 obj = pen._objective(pen_spec, r, beta, lam_t)
-                errs = None
-                if bstar is not None:
-                    delta = unscale(beta) - bstar
-                    xd = problem.X @ delta
-                    p_err = float(xd @ xd)
-                    e_err = float(delta @ delta)
-                    errs = (p_err, e_err, rho**2 * e_err - p_err)
+                errs = error_metrics(unscale(beta), problem, rho) if trace.has_errors else None
                 trace.record(it, obj, fp_res, int(np.count_nonzero(beta)), errs)
 
             if fp_res <= config.tol:
@@ -539,7 +544,7 @@ def triangle_inequality_check(beta_t, beta_t1, probe, scaled_problem: Problem, s
     with W = I - Xs'Xs and f the scaled objective.  Returns rhs - lhs
     (nonnegative up to roundoff when ||Xs||_2 <= 1).
     """
-    spec = spec if isinstance(spec, pen.PenaltySpec) else pen.PenaltySpec(rule=spec)
+    spec = pen._as_spec(spec)
     Xs, y = scaled_problem.X, scaled_problem.y
     beta_t = np.asarray(beta_t, dtype=float)
     beta_t1 = np.asarray(beta_t1, dtype=float)

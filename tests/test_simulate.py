@@ -220,6 +220,8 @@ def test_decay_runs_are_sorted_and_reproducible():
     for r in results:
         if r.seed == 0:
             assert r.e_seq[0] == pytest.approx(e0, rel=1e-12)
+        # the row's error is the last one the decay sequence tracked
+        assert r.row["weighted_err"] == r.e_seq[-1]
 
     buf1, buf2 = io.StringIO(), io.StringIO()
     write_results_csv(results, buf1)

@@ -16,6 +16,7 @@ from tisp.solver import (
     SolverConfig,
     SolverError,
     TRACE_COLUMNS,
+    error_metrics,
     gaussian_starts,
     parse_schedule,
     resolve_rho,
@@ -345,22 +346,32 @@ def test_trace_flags_threshold_grazing():
 def test_recorded_objective_and_certificate_at_the_carried_residual():
     # the iterates are replayed with tisp_step, which forms its residual
     # afresh; solve carries one residual per iterate, and the recorded
-    # objective and the final certificate must be the same numbers exactly
+    # objective and the final certificate must be the same numbers exactly.
+    # With beta_star, each recorded error triple is error_metrics at the
+    # replayed iterate, again exactly.
     for r in rule_catalog(lam=0.6, eta=0.5, gamma=2.5):
         spec = PenaltySpec(rule=r)
         lam = r.lam if r.kind in LAMBDA_KINDS else None
         for seed, max_iter in [(40, 200), (41, 5)]:
-            prob = random_problem(seed, n=15, p=25, y_scale=3.0)
-            res = solve(prob, SolverConfig(rule=r, tol=1e-10, max_iter=max_iter))
-            scaled, _ = scale_problem(prob, res.rho)
-            assert res.trace.iterations == list(range(1, res.iterations + 1))
-            beta = np.zeros(prob.p)
-            for t, obj in zip(res.trace.iterations, res.trace.objective):
-                beta = tisp_step(beta, scaled, r, lam=lam)
-                assert obj == energy(spec, scaled, beta, 1.0, lam), (r.kind, t)
-            assert np.array_equal(beta / res.rho, res.beta)
-            step = tisp_step(beta, scaled, r, lam=lam)
-            assert res.theta_residual == float(np.max(np.abs(beta - step))), r.kind
+            base = random_problem(seed, n=15, p=25, y_scale=3.0)
+            bstar = np.random.default_rng(seed).standard_normal(base.p)
+            for prob in (base, Problem(base.X, base.y, beta_star=bstar)):
+                res = solve(prob, SolverConfig(rule=r, tol=1e-10, max_iter=max_iter))
+                trace = res.trace
+                assert trace.has_errors == (prob.beta_star is not None)
+                scaled, _ = scale_problem(prob, res.rho)
+                assert trace.iterations == list(range(1, res.iterations + 1))
+                beta = np.zeros(prob.p)
+                for i, (t, obj) in enumerate(zip(trace.iterations, trace.objective)):
+                    beta = tisp_step(beta, scaled, r, lam=lam)
+                    assert obj == energy(spec, scaled, beta, 1.0, lam), (r.kind, t)
+                    if trace.has_errors:
+                        m = error_metrics(beta / res.rho, prob, res.rho)
+                        recorded = (trace.pred_err[i], trace.est_err[i], trace.weighted_err[i])
+                        assert recorded == (m["pred"], m["est"], m["weighted"]), (r.kind, t)
+                assert np.array_equal(beta / res.rho, res.beta)
+                step = tisp_step(beta, scaled, r, lam=lam)
+                assert res.theta_residual == float(np.max(np.abs(beta - step))), r.kind
 
 
 def test_record_every_thins_but_keeps_last():
