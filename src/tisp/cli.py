@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -53,7 +54,21 @@ class _Parser(argparse.ArgumentParser):
 # CSV input/output
 # ---------------------------------------------------------------------------
 
+# ASCII separators \x1c-\x1f: np.loadtxt skips them as whitespace, float() refuses them
+_LOADTXT_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
 def read_matrix(path: str) -> np.ndarray:
+    """A headerless numeric CSV file as a 2-d float array.
+
+    np.loadtxt reads it when it can; otherwise `_read_csv`, the reference
+    for every value and for every error message, reads it.
+    """
+    fast = _loadtxt(path)
+    return fast if fast is not None else _read_csv(path)
+
+
+def _read_csv(path: str) -> np.ndarray:
     rows = []
     try:
         with open(path, newline="") as f:
@@ -74,6 +89,23 @@ def read_matrix(path: str) -> np.ndarray:
     if not rows:
         raise CliError(f"{path}: empty input")
     return np.array(rows, dtype=float)
+
+
+def _loadtxt(path: str) -> np.ndarray | None:
+    # None where np.loadtxt raises, warns, reads no value, or could read a
+    # file that `_read_csv` refuses (a separator byte); on every other file
+    # both give the same array
+    try:
+        with open(path, "rb") as f:
+            for chunk in iter(lambda: f.read(1 << 20), b""):
+                if any(sep in chunk for sep in _LOADTXT_ONLY_SPACE):
+                    return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except (OSError, ValueError, Warning):
+        return None
+    return m if m.size else None
 
 
 def read_vector(path: str) -> np.ndarray:

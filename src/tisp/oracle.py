@@ -201,7 +201,7 @@ def coordinate_descent_local_min(problem: Problem, spec, rho: float = 1.0,
             converged = True
             break
 
-    obj = float(0.5 * resid @ resid + np.sum(pen.penalty_theta(spec, b)))
+    obj = pen._objective(spec, resid, b)
     return CDResult(beta=b, objective=obj, sweeps=sweeps, converged=converged)
 
 
@@ -227,7 +227,7 @@ def check_theta_equation(beta, problem: Problem, rule: th.ThresholdRule,
         raise ValueError(f"beta has shape {b.shape}, expected ({problem.p},)")
     v = b + Xs.T @ (y - Xs @ b)
     residual = float(np.max(np.abs(b - th.apply_vec(rule, v)))) if problem.p else 0.0
-    flag = th.near_jump(v, th.discontinuities(rule), 1e-9)
+    flag = th.near_jump(np.abs(v), th.discontinuities(rule), 1e-9)
     return ThetaReport(residual=residual, continuity_flag=flag, passed=residual <= tol)
 
 

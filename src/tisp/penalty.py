@@ -129,24 +129,25 @@ def penalty_theta(spec, t, lam_override: float | None = None):
     `spec` may be a `PenaltySpec` or a bare `ThresholdRule`.
     """
     spec = _as_spec(spec)
-    rule = spec.rule
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ValueError("penalty input must be finite")
-    lam = rule_lambda(rule, lam_override)
-    z = np.abs(t)
-    base = _penalty_theta_closed(rule, z, lam)
-
-    if spec.augmentation == "none":
-        out = base
-    elif spec.augmentation == "capped-l1":
-        out = np.minimum(lam * z, 0.5 * lam**2)
-    elif spec.augmentation == "l0":
-        out = np.where(z != 0.0, 0.5 * lam**2, 0.0)
-    else:  # l0+l2 on hard-ridge
-        eta = rule.eta
-        out = np.where(z != 0.0, lam**2 / (2.0 * (1.0 + eta)), 0.0) + 0.5 * eta * z**2
+    out = _penalty_z(spec, np.abs(t), rule_lambda(spec.rule, lam_override))
     return out if out.ndim else float(out)
+
+
+def _penalty_z(spec: PenaltySpec, z: np.ndarray, lam: float | None) -> np.ndarray:
+    # `penalty_theta` without its checks, at magnitudes z = |t| of any shape
+    # and a resolved lam: the solver sums it over a stacked block of iterates
+    aug = spec.augmentation
+    if aug == "none":
+        return _penalty_theta_closed(spec.rule, z, lam)
+    if aug == "capped-l1":
+        return np.minimum(lam * z, 0.5 * lam**2)
+    if aug == "l0":
+        return np.where(z != 0.0, 0.5 * lam**2, 0.0)
+    eta = spec.rule.eta  # l0+l2 on hard-ridge
+    return np.where(z != 0.0, lam**2 / (2.0 * (1.0 + eta)), 0.0) + 0.5 * eta * z**2
 
 
 # ---------------------------------------------------------------------------

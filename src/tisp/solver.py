@@ -302,23 +302,40 @@ def tisp_step(beta, scaled_problem: Problem, rule: th.ThresholdRule,
     if beta.shape != (Xs.shape[1],):
         raise ValueError(f"beta has shape {beta.shape}, expected ({Xs.shape[1]},)")
     rule_a, lam_scale = stepsize_transform(rule, alpha)
-    override = None if lam is None else lam_scale * float(lam)
+    lam = th.rule_lambda(rule_a, None if lam is None else lam_scale * float(lam))
     with np.errstate(over="ignore", invalid="ignore"):  # _step reports non-finite values
-        return _step(beta, y - Xs @ beta, Xs, alpha, rule_a, override)[1]
+        z, beta_new = _step(beta, y - Xs @ beta, Xs, alpha, rule_a, lam)
+    if not np.isfinite(beta_new).all():
+        raise _nonfinite(1, z)
+    return beta_new
 
 
-def _step(beta, r, Xs, alpha, rule_a, override, it=1):
-    """Gradient point v = beta + alpha * Xs'r at the residual r = y - Xs beta,
-    and the step Theta(v); SolverError when either is not finite (`it`
-    numbers the iteration)."""
-    v = beta + alpha * (Xs.T @ r)
-    if np.isfinite(v).all():
-        beta_new = th.apply_vec(rule_a, v, override)
-        if np.isfinite(beta_new).all():
-            return v, beta_new
-    raise SolverError(
+def _step(beta, r, Xs, alpha, rule_a, lam, it=1):
+    """z = |v| at the gradient point v = beta + alpha * Xs'r (r = y - Xs beta)
+    and the step Theta(v; lam), lam resolved.  SolverError when v is not
+    finite (`it` numbers the iteration); the check must stay on v, because
+    `hard` maps a NaN to 0.  Callers check Theta(v) themselves."""
+    g = Xs.T @ r
+    v = beta + (g if alpha == 1.0 else alpha * g)  # 1.0 * g == g: skip the multiply
+    z = np.abs(v)
+    if z.size and not math.isfinite(z.max()):
+        raise _nonfinite(it, z)
+    return z, th._theta(rule_a, v, z, lam)
+
+
+def _sup_change(beta_new, beta, z, it):
+    """||beta_new - beta||_inf; SolverError when beta_new is not finite.  A
+    non-finite beta_new makes the sup non-finite, so only then is it scanned."""
+    res = float(np.abs(beta_new - beta).max()) if beta.size else 0.0
+    if not math.isfinite(res) and not np.isfinite(beta_new).all():
+        raise _nonfinite(it, z)
+    return res
+
+
+def _nonfinite(it, z):
+    return SolverError(
         f"non-finite iterate at iteration {it} "
-        f"(max |gradient point| = {np.max(np.abs(v)):.3g}); "
+        f"(max |gradient point| = {np.max(z):.3g}); "
         "check the scaling and threshold configuration"
     )
 
@@ -365,9 +382,9 @@ class IterateTrace:
     weighted_err: list = field(default_factory=list)
     flagged: list = field(default_factory=list)
 
-    def record(self, t, obj, res, supp, errs):
+    def record(self, t, res, supp, errs):
+        """One row, all but its objective, which `solve` appends per block."""
         self.iterations.append(int(t))
-        self.objective.append(float(obj))
         self.fp_residual.append(float(res))
         self.support.append(int(supp))
         if self.has_errors:
@@ -408,6 +425,9 @@ class IterateTrace:
 # ---------------------------------------------------------------------------
 # main solve loop
 # ---------------------------------------------------------------------------
+
+# recorded iterates x p entries per stacked block whose penalty is evaluated at once
+_BLOCK_ENTRIES = 1 << 16
 
 @dataclass
 class SolveResult:
@@ -456,42 +476,66 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
             raise ValueError(f"start has shape {beta.shape}, expected ({problem.p},)")
 
     trace = IterateTrace(has_errors=problem.beta_star is not None)
-    lam_t = rule.lam  # None for ridge and lr; a schedule replaces it per iteration
-    jump_sets = {}  # threshold override -> array of the rule's jump locations
+    schedule = config.schedule
+    lam_t = rule.lam if schedule is None else schedule.value(0)  # None for ridge and lr
+    jump_sets = {}  # Theta's threshold -> array of the rule's jump locations there
+    pending = []  # (iterate, 0.5*||r||^2) per recorded row still without its objective
+    block_rows = max(1, _BLOCK_ENTRIES // max(problem.p, 1))
     reason = "max_iter"
 
+    def at_lambda(lam):
+        # Theta's threshold for the penalty threshold lam, and the jumps there
+        override = None if lam is None else lam_scale * lam
+        if override not in jump_sets:
+            jump_sets[override] = np.array(th.discontinuities(rule_a, override))
+        return override, jump_sets[override]
+
+    def flush():
+        # the pending rows' objectives: one penalty evaluation on the stacked
+        # iterates, at the threshold they were recorded under (row sums of a
+        # C-contiguous block equal each row's own sum bit for bit)
+        if pending:
+            block = np.abs(np.array([b for b, _ in pending]))
+            pens = pen._penalty_z(pen_spec, block, th.rule_lambda(rule, lam_t)).sum(axis=1)
+            trace.objective.extend(float(q + s) for (_, q), s in zip(pending, pens))
+            pending.clear()
+
+    override, jumps = at_lambda(lam_t)
     # Overflow and invalid values are not warned about: the step raises
     # SolverError on the first non-finite gradient point or iterate.
     with np.errstate(over="ignore", invalid="ignore"):
         r = y - Xs @ beta  # residual of the current iterate, one matvec per iterate
         for it in range(1, config.max_iter + 1):
-            if config.schedule is not None:
-                lam_t = config.schedule.value(it - 1)
-            override = None if lam_t is None else lam_scale * lam_t
+            if schedule is not None:
+                lam_next = schedule.value(it - 1)
+                if lam_next != lam_t:
+                    flush()
+                    lam_t = lam_next
+                    override, jumps = at_lambda(lam_t)
 
-            v, beta_new = _step(beta, r, Xs, config.alpha, rule_a, override, it)
-            jumps = jump_sets.get(override)
-            if jumps is None:
-                jumps = jump_sets[override] = np.array(th.discontinuities(rule_a, override))
-            if th.near_jump(v, jumps, 1e-12):
+            z, beta_new = _step(beta, r, Xs, config.alpha, rule_a, override, it)
+            if th.near_jump(z, jumps, 1e-12):
                 trace.flagged.append(it)
-            fp_res = float(np.abs(beta_new - beta).max()) if problem.p else 0.0
+            fp_res = _sup_change(beta_new, beta, z, it)
             beta = beta_new
             r = y - Xs @ beta
             done = fp_res <= config.tol or it == config.max_iter
 
             if it % config.record_every == 0 or done:
-                obj = pen._objective(pen_spec, r, beta, lam_t)
                 errs = error_metrics(unscale(beta), problem, rho) if trace.has_errors else None
-                trace.record(it, obj, fp_res, int(np.count_nonzero(beta)), errs)
+                trace.record(it, fp_res, int(np.count_nonzero(beta)), errs)
+                pending.append((beta, 0.5 * r @ r))
+                if len(pending) >= block_rows:
+                    flush()
 
             if fp_res <= config.tol:
                 reason = "converged"
                 break
+        flush()
 
         # fixed-point residual at the final iterate, at the final threshold
-        theta_v = _step(beta, r, Xs, config.alpha, rule_a, override, it)[1]
-    theta_res = float(np.max(np.abs(beta - theta_v))) if problem.p else 0.0
+        z, theta_v = _step(beta, r, Xs, config.alpha, rule_a, override, it)
+        theta_res = _sup_change(theta_v, beta, z, it)
     return SolveResult(
         beta=unscale(beta),
         trace=trace,

@@ -195,7 +195,6 @@ def rule_lambda(rule: ThresholdRule, lam_override: float | None = None) -> float
     return rule.lam if lam_override is None else float(lam_override)
 
 
-# Per kind, not from integrand_pieces: a table lookup ran 2-4x slower per call (2-core VM).
 def apply_vec(rule: ThresholdRule, t, lam_override: float | None = None) -> np.ndarray:
     """Apply the rule componentwise to an array.
 
@@ -205,17 +204,24 @@ def apply_vec(rule: ThresholdRule, t, lam_override: float | None = None) -> np.n
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ValueError("thresholding input must be finite")
-    lam = rule_lambda(rule, lam_override)
-    z = np.abs(t)
-    s = np.sign(t)
-    kind = rule.kind
+    return _theta(rule, t, np.abs(t), rule_lambda(rule, lam_override))
 
-    if kind == "soft":
-        return s * np.maximum(z - lam, 0.0)
-    if kind == "ridge":
-        return t / (1.0 + rule.eta)
+
+# Per kind, not from integrand_pieces: a table lookup ran 2-4x slower per call (2-core VM).
+def _theta(rule: ThresholdRule, t: np.ndarray, z: np.ndarray, lam: float | None) -> np.ndarray:
+    """Theta(t; lam) for a finite float array t with z = |t| and lam resolved:
+    `apply_vec` without its checks, for the solver loop, which holds z anyway.
+    Returns a new array on every branch, never t itself or a view of it."""
+    kind = rule.kind
     if kind == "hard":
         return np.where(z > lam, t, 0.0)
+    if kind == "ridge":
+        return t / (1.0 + rule.eta)
+    if kind == "hard-ridge":
+        return np.where(z > lam, t / (1.0 + rule.eta), 0.0)
+    s = np.sign(t)
+    if kind == "soft":
+        return s * np.maximum(z - lam, 0.0)
     if kind == "elastic-net":
         return np.where(z > lam, s * (z - lam) / (1.0 + rule.eta), 0.0)
     if kind == "berhu":
@@ -231,8 +237,6 @@ def apply_vec(rule: ThresholdRule, t, lam_override: float | None = None) -> np.n
         out[mid] = s[mid] * (z[mid] - lam)
         out[top] = t[top] / (1.0 + eta)
         return out
-    if kind == "hard-ridge":
-        return np.where(z > lam, t / (1.0 + rule.eta), 0.0)
     if kind == "scad":
         a = rule.a
         out = np.zeros_like(t)
@@ -300,10 +304,10 @@ def discontinuities(rule: ThresholdRule, lam_override: float | None = None) -> t
     return tuple(q for _, _, m, q in integrand_pieces(rule, lam_override) if m == -1.0)
 
 
-def near_jump(t: np.ndarray, jumps, tol: float) -> bool:
-    """Whether some |t_j| lies within `tol` of a jump location."""
+def near_jump(z: np.ndarray, jumps, tol: float) -> bool:
+    """Whether some magnitude z_j = |t_j| lies within `tol` of a jump location."""
     jumps = np.asarray(jumps)
-    return bool(jumps.size and t.size and np.abs(np.abs(t)[:, None] - jumps).min() < tol)
+    return bool(jumps.size and z.size and np.abs(z[:, None] - jumps).min() < tol)
 
 
 def integrand_pieces(rule: ThresholdRule, lam_override: float | None = None):
@@ -313,7 +317,7 @@ def integrand_pieces(rule: ThresholdRule, lam_override: float | None = None):
     of Theta^{-1} (`inverse`), the contraction constant L (minus the least
     slope), the effective threshold tau = Theta^{-1}(0) and the jumps (flat
     pieces, slope -1).  Adding a piecewise-linear rule means adding its
-    pieces here, its Theta to `apply_vec` and its penalty to
+    pieces here, its Theta to `_theta` and its penalty to
     `penalty._penalty_theta_closed`.  lr is not piecewise linear and raises.
     Zero-width pieces are dropped.
     """

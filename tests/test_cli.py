@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import tisp.cli
 from tisp.cli import main
 from tisp.solver import TRACE_COLUMNS
 
@@ -97,6 +98,41 @@ def test_solve_malformed_csv(capsys, tmp_path, scalar_files):
                                   "--rule", "soft(lambda=1)"])
     assert code == 1
     assert "line 2" in err
+
+
+# name -> (file bytes, whether np.loadtxt reads it); read_matrix must agree
+# with the csv reader on each, in its array or in its error message
+CSV_CASES = {
+    "quoted": (b'"1","2"\n3,4\n', False),
+    "underscore": (b"1_0,2\n", False),
+    "empty": (b"", False),
+    "blank_lines_only": (b"\n\n\n", False),
+    "ragged": (b"1,2\n3\n", False),
+    "trailing_comma": (b"1,2,\n3,4,\n", False),
+    "whitespace_only_line": (b"1,2\n   \n3,4\n", False),
+    "separator_byte": (b"1,2\x1c\n3,4\n", False),
+    "crlf": (b"1,2\r\n\r\n3,4\r\n", True),
+    "nan_inf": (b"nan,inf\n-Infinity,NaN\n", True),
+    "single_value": (b"3.0", True),
+    "spaces_and_exponents": (b" 1e-3 ,-2.5E+2\n0.1000000000000000055511151231257827,-0\n", True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_CASES))
+def test_read_matrix_agrees_with_the_csv_reader(tmp_path, name):
+    data, fast = CSV_CASES[name]
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(data)
+
+    def outcome(read):
+        try:
+            m = read(str(path))
+        except tisp.cli.CliError as exc:
+            return str(exc)
+        return m.shape, m.dtype, m.tobytes()
+
+    assert (tisp.cli._loadtxt(str(path)) is not None) == fast
+    assert outcome(tisp.cli.read_matrix) == outcome(tisp.cli._read_csv)
 
 
 def test_solve_missing_file(capsys, tmp_path, scalar_files):

@@ -293,10 +293,10 @@ def test_max_iter_reason():
 def test_solver_error_on_nonfinite_iterates(monkeypatch):
     prob = random_problem(10, n=6, p=3)
 
-    def poisoned(rule_, v, lam=None):
+    def poisoned(rule_, v, z, lam):
         return np.full(np.asarray(v).shape, np.nan)
 
-    monkeypatch.setattr(tisp.solver.th, "apply_vec", poisoned)
+    monkeypatch.setattr(tisp.solver.th, "_theta", poisoned)
     with pytest.raises(SolverError, match="non-finite"):
         solve(prob, SolverConfig(rule=rule("soft(lambda=1)")))
 
@@ -311,6 +311,29 @@ def test_solver_error_on_overflowing_gradient_point():
             solve(prob, SolverConfig(rule=rule("soft(lambda=1)")))
         with pytest.raises(SolverError, match="non-finite iterate"):
             tisp_step(np.zeros(1), prob, rule("soft(lambda=1)"))
+
+
+def test_solver_error_when_hard_zeroes_a_nan_gradient_point():
+    # Xs beta overflows to (+inf, -inf), so every component of Xs'r is
+    # inf - inf = NaN.  hard maps a NaN to 0, so the new iterate and the
+    # fixed-point residual are finite: only the check on the gradient point
+    # can report it.
+    X = np.array([[0.4] * 4 + [0.1] * 4, [0.1] * 4 + [0.4] * 4])  # ||X||_2 = 1
+    prob = Problem(X, np.zeros(2))
+    beta = np.array([1.7e308] * 4 + [-1.7e308] * 4)
+    hard = rule("hard(lambda=1)")
+    nan = np.full(8, np.nan)
+    assert np.array_equal(tisp.solver.th._theta(hard, nan, np.abs(nan), 1.0), np.zeros(8))
+    message = ("non-finite iterate at iteration 1 (max |gradient point| = nan); "
+               "check the scaling and threshold configuration")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SolverError) as exc:
+            solve(prob, SolverConfig(rule=hard, rho=1.0), start=beta)
+        assert str(exc.value) == message
+        with pytest.raises(SolverError) as exc:
+            tisp_step(beta, prob, hard)
+        assert str(exc.value) == message
 
 
 def test_trace_csv_columns_and_error_fields():
@@ -372,6 +395,54 @@ def test_recorded_objective_and_certificate_at_the_carried_residual():
                 assert np.array_equal(beta / res.rho, res.beta)
                 step = tisp_step(beta, scaled, r, lam=lam)
                 assert res.theta_residual == float(np.max(np.abs(beta - step))), r.kind
+
+
+def test_recorded_objective_across_block_flushes():
+    # solve sums the penalty of the recorded iterates per stacked block: at
+    # each threshold change of a schedule, every 2**16 entries (rows x p)
+    # and at exit.  Every row, in every kind of block, must still carry the
+    # objective `energy` gives at the replayed iterate, and its support.
+    specs = [PenaltySpec(rule=r) for r in rule_catalog(lam=0.6, eta=0.5, gamma=2.5)]
+    specs += [PenaltySpec(rule("hard(lambda=0.6)"), "capped-l1"),
+              PenaltySpec(rule("hard(lambda=0.6)"), "l0"),
+              PenaltySpec(rule("hard-ridge(lambda=0.6,eta=0.5)"), "l0+l2")]
+    geometric = LambdaSchedule.geometric(2.0, 0.8, 0.5)
+    cases = [  # (n, p, y_scale, record_every, schedule, max_iter)
+        (15, 25, 3.0, 1, geometric, 300),
+        (15, 25, 3.0, 3, None, 300),
+        (15, 25, 3.0, 4, geometric, 7),  # max_iter exit between recorded rows
+        (10, 3000, 30.0, 1, None, 70),  # up to 70 rows x 3000 = 3.2 blocks
+        (10, 3000, 30.0, 2, geometric, 70),
+    ]
+    many_blocks = 0
+    for n, p, y_scale, record_every, schedule, max_iter in cases:
+        prob = random_problem(n * p, n=n, p=p, y_scale=y_scale)
+        for spec in specs:
+            r = spec.rule
+            sched = schedule if r.kind in LAMBDA_KINDS else None
+            cfg = SolverConfig(rule=r, schedule=sched, tol=1e-10, max_iter=max_iter,
+                               record_every=record_every, augmentation=spec.augmentation)
+            res = solve(prob, cfg)
+            trace = res.trace
+            last = res.iterations
+            assert trace.iterations == [t for t in range(1, last + 1)
+                                        if t % record_every == 0 or t == last]
+            assert len(trace.objective) == len(trace.iterations)
+            if max_iter == 7:
+                assert res.reason == "max_iter" and last % record_every != 0
+            scaled, _ = scale_problem(prob, res.rho)
+            recorded = dict(zip(trace.iterations, zip(trace.objective, trace.support)))
+            beta = np.zeros(p)
+            for t in range(1, last + 1):
+                lam = sched.value(t - 1) if sched else r.lam
+                beta = tisp_step(beta, scaled, r, lam=lam)
+                if t in recorded:
+                    obj, supp = recorded[t]
+                    assert obj == energy(spec, scaled, beta, 1.0, lam), (r.kind, p, t)
+                    assert supp == np.count_nonzero(beta), (r.kind, p, t)
+            assert res.objective == trace.objective[-1]
+            many_blocks += len(trace.iterations) * p >= 3 * 2**16
+    assert many_blocks >= 5
 
 
 def test_record_every_thins_but_keeps_last():
