@@ -117,16 +117,13 @@ def read_vector(path: str) -> np.ndarray:
     raise CliError(f"{path}: expected a vector (one value per line), got shape {m.shape}")
 
 
+# Joined float reprs: no repr needs CSV quoting, so this is csv.writer's output.
 def _write_vector(vec, f) -> None:
-    w = csv.writer(f, lineterminator="\n")
-    for v in vec:
-        w.writerow([repr(float(v))])
+    f.writelines(repr(v) + "\n" for v in np.asarray(vec, dtype=float).tolist())
 
 
 def _write_matrix(mat, f) -> None:
-    w = csv.writer(f, lineterminator="\n")
-    for row in mat:
-        w.writerow([repr(float(v)) for v in row])
+    f.writelines(",".join(map(repr, row)) + "\n" for row in np.asarray(mat, dtype=float).tolist())
 
 
 # ---------------------------------------------------------------------------

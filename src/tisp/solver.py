@@ -71,6 +71,17 @@ class Problem:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "beta_star", bs)
 
+    @classmethod
+    def _adopt(cls, X, y, beta_star, sigma) -> "Problem":
+        """A Problem holding checked arrays as they are: frozen in place,
+        neither copied nor scanned again (`Problem(...)` does both)."""
+        prob = object.__new__(cls)
+        for name, value in (("X", X), ("y", y), ("beta_star", beta_star), ("sigma", sigma)):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(prob, name, value)
+        return prob
+
     @property
     def n(self) -> int:
         return self.X.shape[0]
@@ -280,8 +291,13 @@ def scale_problem(problem: Problem, rho: float):
             f"rho={rho:.6g} is below the design spectral norm {norm:.6g}; "
             "objective descent requires rho >= ||X||_2"
         )
-    bstar = None if problem.beta_star is None else rho * problem.beta_star
-    scaled = Problem(problem.X / rho, problem.y, beta_star=bstar, sigma=problem.sigma)
+    bstar = None
+    if problem.beta_star is not None:
+        bstar = rho * problem.beta_star
+        if not np.all(np.isfinite(bstar)):
+            raise ValueError("beta_star must be finite")
+    # the quotient is a fresh array, and finite: |x_ij| <= ||X||_2 <= rho * (1 + 1e-9)
+    scaled = Problem._adopt(problem.X / rho, problem.y, bstar, problem.sigma)
 
     def unscale(beta_scaled):
         return np.asarray(beta_scaled, dtype=float) / rho
@@ -304,7 +320,7 @@ def tisp_step(beta, scaled_problem: Problem, rule: th.ThresholdRule,
     rule_a, lam_scale = stepsize_transform(rule, alpha)
     lam = th.rule_lambda(rule_a, None if lam is None else lam_scale * float(lam))
     with np.errstate(over="ignore", invalid="ignore"):  # _step reports non-finite values
-        z, beta_new = _step(beta, y - Xs @ beta, Xs, alpha, rule_a, lam)
+        z, beta_new = _step(beta, y - pen._times(Xs, beta), Xs, alpha, rule_a, lam)
     if not np.isfinite(beta_new).all():
         raise _nonfinite(1, z)
     return beta_new
@@ -353,7 +369,7 @@ def error_metrics(beta, problem: Problem, rho: float) -> dict:
     if problem.beta_star is None:
         raise ValueError("error metrics require a problem with beta_star")
     delta = np.asarray(beta, dtype=float) - problem.beta_star
-    xd = problem.X @ delta
+    xd = pen._times(problem.X, delta)  # delta's support is supp beta | supp beta*
     pred = float(xd @ xd)
     est = float(delta @ delta)
     return {"pred": pred, "est": est, "weighted": rho * rho * est - pred}
@@ -468,13 +484,6 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
     rule_a, lam_scale = stepsize_transform(rule, config.alpha)
     pen_spec = pen.PenaltySpec(rule=rule, augmentation=config.augmentation)
 
-    if start is None:
-        beta = np.zeros(problem.p)
-    else:
-        beta = rho * np.asarray(start, dtype=float)
-        if beta.shape != (problem.p,):
-            raise ValueError(f"start has shape {beta.shape}, expected ({problem.p},)")
-
     trace = IterateTrace(has_errors=problem.beta_star is not None)
     schedule = config.schedule
     lam_t = rule.lam if schedule is None else schedule.value(0)  # None for ridge and lr
@@ -504,7 +513,13 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
     # Overflow and invalid values are not warned about: the step raises
     # SolverError on the first non-finite gradient point or iterate.
     with np.errstate(over="ignore", invalid="ignore"):
-        r = y - Xs @ beta  # residual of the current iterate, one matvec per iterate
+        if start is None:
+            beta = np.zeros(problem.p)
+        else:
+            beta = rho * np.asarray(start, dtype=float)
+            if beta.shape != (problem.p,):
+                raise ValueError(f"start has shape {beta.shape}, expected ({problem.p},)")
+        r = y - pen._times(Xs, beta)  # residual of the current iterate, one per iterate
         for it in range(1, config.max_iter + 1):
             if schedule is not None:
                 lam_next = schedule.value(it - 1)
@@ -518,7 +533,7 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
                 trace.flagged.append(it)
             fp_res = _sup_change(beta_new, beta, z, it)
             beta = beta_new
-            r = y - Xs @ beta
+            r = y - pen._times(Xs, beta)
             done = fp_res <= config.tol or it == config.max_iter
 
             if it % config.record_every == 0 or done:

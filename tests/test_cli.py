@@ -1,5 +1,7 @@
 """Command line surface: solve, simulate, experiments, verify suites."""
 
+import csv
+import io
 import json
 import shutil
 import subprocess
@@ -133,6 +135,27 @@ def test_read_matrix_agrees_with_the_csv_reader(tmp_path, name):
 
     assert (tisp.cli._loadtxt(str(path)) is not None) == fast
     assert outcome(tisp.cli.read_matrix) == outcome(tisp.cli._read_csv)
+
+
+def test_writers_match_the_csv_writer():
+    # the matrix and vector writers join float reprs; csv.writer over the
+    # same reprs is the reference, on values whose reprs are unusual
+    mat = np.array([[np.nan, np.inf, -np.inf, -0.0],
+                    [1e-300, 5e-324, 3.0, -7.0],
+                    [0.1, 2.0**60, -1.5e308, 1.0 / 3.0]])
+
+    def csv_writer(rows):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        return buf.getvalue()
+
+    for m in (mat, mat[:, :1], np.zeros((2, 0))):
+        buf = io.StringIO()
+        tisp.cli._write_matrix(m, buf)
+        assert buf.getvalue() == csv_writer([[repr(float(v)) for v in row] for row in m])
+    buf = io.StringIO()
+    tisp.cli._write_vector(mat.ravel(), buf)
+    assert buf.getvalue() == csv_writer([[repr(float(v))] for v in mat.ravel()])
 
 
 def test_solve_missing_file(capsys, tmp_path, scalar_files):

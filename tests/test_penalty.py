@@ -6,6 +6,7 @@ import pytest
 from tisp.penalty import (
     AUGMENTATIONS,
     PenaltySpec,
+    _times,
     energy,
     penalty_hard,
     penalty_l0,
@@ -226,3 +227,31 @@ def test_penalty_rejects_nonfinite_and_bad_override():
     for text in ["ridge(eta=0.5)", "lr(r=0.5,zeta=1)"]:
         with pytest.raises(ValueError):
             penalty_theta(PenaltySpec(rule=rule(text)), 1.0, lam_override=2.0)
+
+
+# ---------------------------------------------------------------------------
+# design products over the support
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p", [1, 10, 31, 32, 64, 100, 5000])
+def test_times_over_the_support(monkeypatch, p):
+    # X @ b, taken over b's nonzeros when b has at least 32 entries and at
+    # most 1/32 of them are nonzero; below 32 columns never scanned for them
+    rng = np.random.default_rng(p)
+    X = rng.standard_normal((7, p))
+    scans = []
+    count_nonzero = np.count_nonzero
+    monkeypatch.setattr(np, "count_nonzero", lambda a: scans.append(a.size) or count_nonzero(a))
+    for nnz in sorted({0, p // 32, p // 32 + 1, p}):
+        b = np.zeros(p)
+        b[rng.choice(p, nnz, replace=False)] = rng.standard_normal(nnz) * 10.0 ** rng.integers(-3, 4, nnz)
+        got, want = _times(X, b), X @ b
+        over_support = p >= 32 and 32 * nnz <= p
+        if over_support:
+            assert np.all(np.abs(got - want) <= 1e-14 * (np.abs(X) @ np.abs(b))), (p, nnz)
+        else:
+            assert np.array_equal(got, want), (p, nnz)
+        if nnz < p:  # NaN in the zero coefficients' columns shows which product was formed
+            probe = np.where(b == 0.0, np.nan, X)
+            assert np.isfinite(_times(probe, b)).all() == over_support, (p, nnz)
+    assert bool(scans) == (p >= 32)

@@ -336,6 +336,23 @@ def test_solver_error_when_hard_zeroes_a_nan_gradient_point():
         assert str(exc.value) == message
 
 
+def test_solver_error_on_overflowing_scaled_start():
+    # rho * start overflows to inf before the first step; the failure is
+    # reported by SolverError alone, without a numpy RuntimeWarning
+    X = np.zeros((2, 40))
+    X[0, 0] = 4.0  # ||X||_2 = 4
+    start = np.zeros(40)
+    start[0] = 1.7e308
+    message = ("non-finite iterate at iteration 1 (max |gradient point| = nan); "
+               "check the scaling and threshold configuration")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SolverError) as exc:
+            solve(Problem(X, np.ones(2)), SolverConfig(rule=rule("soft(lambda=1)"), rho=4.0),
+                  start=start)
+    assert str(exc.value) == message
+
+
 def test_trace_csv_columns_and_error_fields():
     bstar = np.array([2.0, 0.0, -1.0])
     rng = np.random.default_rng(11)
@@ -397,11 +414,23 @@ def test_recorded_objective_and_certificate_at_the_carried_residual():
                 assert res.theta_residual == float(np.max(np.abs(beta - step))), r.kind
 
 
-def test_recorded_objective_across_block_flushes():
+def test_recorded_objective_across_block_flushes(monkeypatch):
     # solve sums the penalty of the recorded iterates per stacked block: at
     # each threshold change of a schedule, every 2**16 entries (rows x p)
     # and at exit.  Every row, in every kind of block, must still carry the
     # objective `energy` gives at the replayed iterate, and its support.
+    # Iterates with at most p/32 nonzeros are multiplied over their support
+    # (penalty._times) in solve, tisp_step and energy alike.
+    flatnonzero = np.flatnonzero
+    gathered = []  # support sizes of the products taken over the support
+
+    def recording(a):
+        nz = flatnonzero(a)
+        if nz.size:
+            gathered.append(nz.size)
+        return nz
+
+    monkeypatch.setattr(np, "flatnonzero", recording)
     specs = [PenaltySpec(rule=r) for r in rule_catalog(lam=0.6, eta=0.5, gamma=2.5)]
     specs += [PenaltySpec(rule("hard(lambda=0.6)"), "capped-l1"),
               PenaltySpec(rule("hard(lambda=0.6)"), "l0"),
@@ -413,8 +442,9 @@ def test_recorded_objective_across_block_flushes():
         (15, 25, 3.0, 4, geometric, 7),  # max_iter exit between recorded rows
         (10, 3000, 30.0, 1, None, 70),  # up to 70 rows x 3000 = 3.2 blocks
         (10, 3000, 30.0, 2, geometric, 70),
+        (10, 3000, 10.0, 1, None, 70),  # at most 77 nonzeros: the support products
     ]
-    many_blocks = 0
+    many_blocks = sparse_rows = 0
     for n, p, y_scale, record_every, schedule, max_iter in cases:
         prob = random_problem(n * p, n=n, p=p, y_scale=y_scale)
         for spec in specs:
@@ -442,7 +472,10 @@ def test_recorded_objective_across_block_flushes():
                     assert supp == np.count_nonzero(beta), (r.kind, p, t)
             assert res.objective == trace.objective[-1]
             many_blocks += len(trace.iterations) * p >= 3 * 2**16
+            sparse_rows += sum(0 < 32 * s <= p for s in trace.support)
     assert many_blocks >= 5
+    # each such row went through solve's residual and the replay's energy
+    assert sparse_rows >= 300 and len(gathered) >= 2 * sparse_rows
 
 
 def test_record_every_thins_but_keeps_last():
