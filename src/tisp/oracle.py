@@ -29,10 +29,10 @@ class L0Result(NamedTuple):
     beta_original: np.ndarray
 
 
-def l0_global_min(problem: Problem, lam: float, rho: float, max_p: int = 14) -> L0Result:
+def l0_global_min(problem: Problem, lam: float, rho: float) -> L0Result:
     """Exact global minimizer of 0.5*||y - (X/rho) b||^2 + (lam^2/2)*||b||_0.
 
-    Enumerates all supports (hence the p <= max_p refusal) and solves least
+    Enumerates all supports (hence the p <= 14 refusal) and solves least
     squares on each via pseudoinverse with cutoff 1e-10.  The returned
     ``beta`` lives in the scaled coordinates b = rho * beta_original.
 
@@ -43,10 +43,8 @@ def l0_global_min(problem: Problem, lam: float, rho: float, max_p: int = 14) -> 
     when it does not increase the objective.
     """
     p = problem.p
-    if p > max_p:
-        raise ValueError(
-            f"p={p} is too large for exhaustive support enumeration (max {max_p})"
-        )
+    if p > 14:
+        raise ValueError(f"p={p} is too large for exhaustive support enumeration (max 14)")
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError("lam must be >= 0")
     if not (math.isfinite(rho) and rho > 0):
@@ -112,11 +110,6 @@ def _scalar_prox(rule: th.ThresholdRule, c: float, w: float) -> float:
         return 0.0
     if w < 0:
         return -_scalar_prox(rule, c, -w)
-    spec = pen.PenaltySpec(rule=rule)
-
-    def phi(b):
-        return 0.5 * c * (b - w) ** 2 + pen.penalty_theta(spec, b)
-
     candidates = [0.0, w]
     if rule.kind == "lr":
         # two-piece penalty: quadratic cap up to the jump, zeta*b^r beyond
@@ -141,13 +134,11 @@ def _scalar_prox(rule: th.ThresholdRule, c: float, w: float) -> float:
             if math.isfinite(hi):
                 candidates.append(hi)
 
-    candidates = sorted({min(max(b, 0.0), w) for b in candidates})
-    best_b, best_val = 0.0, math.inf
-    for b in candidates:
-        val = phi(b)
-        if val < best_val - 0.0:
-            best_val, best_b = val, b
-    return best_b
+    # one penalty evaluation for all candidates; argmin keeps the first, the
+    # smallest, of tied minima
+    candidates = np.array(sorted({min(max(b, 0.0), w) for b in candidates}))
+    phi = 0.5 * c * (candidates - w) ** 2 + pen.penalty_theta(rule, candidates)
+    return float(candidates[np.argmin(phi)])
 
 
 class CDResult(NamedTuple):

@@ -1,6 +1,11 @@
 """Penalties induced by thresholding rules.
 
 Each rule Theta induces P_Theta(t) = integral_0^{|t|} (Theta^{-1}(u) - u) du.
+For the eight piecewise-linear kinds `penalty_theta` integrates the pieces of
+`thresholding.integrand_pieces` exactly; lr's penalty is written out.  The
+adaptive quadrature `penalty_theta_quadrature` integrates the same Theta^{-1}
+numerically, as a check of the exact integration.
+
 The objective actually minimized by the fixed-point iteration may add a
 nonnegative term q that vanishes on the range of Theta; the `augmentation`
 field of `PenaltySpec` selects the classical choices for the hard-type rules
@@ -11,12 +16,12 @@ Reference penalties: penalty_hard, penalty_l0, penalty_l1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .thresholding import (
+    LAMBDA_KINDS,
     ThresholdRule,
     _lr_jump,
     _lr_zero_boundary,
@@ -74,42 +79,37 @@ def penalty_l1(t, lam: float):
 
 
 # ---------------------------------------------------------------------------
-# induced penalty, closed forms
+# induced penalty
 # ---------------------------------------------------------------------------
 
-# Per kind, not integrated from integrand_pieces: a table lookup ran 1.4x slower per call (2-core VM).
-def _penalty_theta_closed(rule: ThresholdRule, z: np.ndarray, lam: float | None) -> np.ndarray:
-    kind = rule.kind
-    if kind == "soft":
-        return lam * z
-    if kind == "ridge":
-        return 0.5 * rule.eta * z**2
-    if kind == "hard":
-        return np.where(z < lam, lam * z - 0.5 * z**2, 0.5 * lam**2)
-    if kind == "elastic-net":
-        return lam * z + 0.5 * rule.eta * z**2
-    if kind == "berhu":
-        eta = rule.eta
-        if eta == 0.0:
-            return lam * z
-        return np.where(z <= lam / eta, lam * z, 0.5 * eta * z**2 + lam**2 / (2.0 * eta))
-    if kind == "hard-ridge":
-        eta = rule.eta
-        knot = lam / (1.0 + eta)
-        return np.where(
-            z < knot,
-            lam * z - 0.5 * z**2,
-            0.5 * eta * z**2 + lam**2 / (2.0 * (1.0 + eta)),
-        )
-    if kind == "scad":
-        a = rule.a
-        mid = (2.0 * a * lam * z - z**2 - lam**2) / (2.0 * (a - 1.0))
-        top = 0.5 * lam**2 * (a + 1.0)
-        return np.where(z <= lam, lam * z, np.where(z <= a * lam, mid, top))
-    if kind == "mcp":
-        g = rule.gamma
-        return np.where(z < g * lam, lam * z - z**2 / (2.0 * g), 0.5 * g * lam**2)
-    if kind == "lr":
+def penalty_theta(spec, t, lam_override: float | None = None):
+    """Induced penalty P_Theta plus the configured augmentation, componentwise.
+
+    `spec` may be a `PenaltySpec` or a bare `ThresholdRule`.  A rule template
+    without lambda needs `lam_override`.
+    """
+    spec = _as_spec(spec)
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("penalty input must be finite")
+    lam = rule_lambda(spec.rule, lam_override)
+    if lam is None and spec.rule.kind in LAMBDA_KINDS:
+        raise ValueError(f"rule {spec.rule.kind!r} has no lambda; pass lam_override")
+    out = _penalty_z(spec, np.abs(t), lam)
+    return out if out.ndim else float(out)
+
+
+def _penalty_z(spec: PenaltySpec, z: np.ndarray, lam: float | None) -> np.ndarray:
+    # `penalty_theta` without its checks, at magnitudes z = |t| of any shape
+    # and a resolved lam: the solver sums it over a stacked block of iterates
+    rule, aug = spec.rule, spec.augmentation
+    if aug == "capped-l1":
+        return np.minimum(lam * z, 0.5 * lam**2)
+    if aug == "l0":
+        return np.where(z != 0.0, 0.5 * lam**2, 0.0)
+    if aug == "l0+l2":  # on hard-ridge
+        return np.where(z != 0.0, lam**2 / (2.0 * (1.0 + rule.eta)), 0.0) + 0.5 * rule.eta * z**2
+    if rule.kind == "lr":
         zeta, r = rule.zeta, rule.r
         if zeta == 0.0:
             return np.zeros_like(z)
@@ -120,38 +120,18 @@ def _penalty_theta_closed(rule: ThresholdRule, z: np.ndarray, lam: float | None)
         zsafe = np.where(z > 0, z, 1.0)
         high = head + zeta * (zsafe**r - jump**r)
         return np.where(z <= jump, low, high)
-    raise AssertionError(kind)
-
-
-def penalty_theta(spec, t, lam_override: float | None = None):
-    """Induced penalty P_Theta plus the configured augmentation, componentwise.
-
-    `spec` may be a `PenaltySpec` or a bare `ThresholdRule`.
-    """
-    spec = _as_spec(spec)
-    t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("penalty input must be finite")
-    out = _penalty_z(spec, np.abs(t), rule_lambda(spec.rule, lam_override))
-    return out if out.ndim else float(out)
-
-
-def _penalty_z(spec: PenaltySpec, z: np.ndarray, lam: float | None) -> np.ndarray:
-    # `penalty_theta` without its checks, at magnitudes z = |t| of any shape
-    # and a resolved lam: the solver sums it over a stacked block of iterates
-    aug = spec.augmentation
-    if aug == "none":
-        return _penalty_theta_closed(spec.rule, z, lam)
-    if aug == "capped-l1":
-        return np.minimum(lam * z, 0.5 * lam**2)
-    if aug == "l0":
-        return np.where(z != 0.0, 0.5 * lam**2, 0.0)
-    eta = spec.rule.eta  # l0+l2 on hard-ridge
-    return np.where(z != 0.0, lam**2 / (2.0 * (1.0 + eta)), 0.0) + 0.5 * eta * z**2
+    # exact integral of the integrand pieces: the piece s(u) = m*u + q on
+    # [lo, hi] meets [0, z] in [lo, lo + c], c = clip(z, lo, hi) - lo, where
+    # s integrates to c*(q + m*lo + m*c/2)
+    out = 0.0
+    for lo, hi, m, q in integrand_pieces(rule, lam):
+        c = np.clip(z, lo, hi) - lo
+        out += c * (q + m * lo + m * c / 2.0)
+    return out
 
 
 # ---------------------------------------------------------------------------
-# quadrature route (independent of the closed forms)
+# quadrature route (numerical, at Theta^{-1} from `inverse`)
 # ---------------------------------------------------------------------------
 
 def _adaptive_simpson(f, a: float, b: float, tol: float, depth: int = 50) -> float:
@@ -187,7 +167,7 @@ def penalty_theta_quadrature(rule: ThresholdRule, t: float, tol: float = 1e-10,
     """P_Theta(t) by adaptive Simpson quadrature of Theta^{-1}(u) - u.
 
     The integration domain is split at integrand kinks so each panel is
-    smooth.  Serves as the independent cross-check of the closed forms.
+    smooth.  Serves as the cross-check of `penalty_theta`'s exact integration.
     """
     z = abs(float(t))
     if z == 0.0:

@@ -252,26 +252,28 @@ def stepsize_transform(rule: th.ThresholdRule, alpha: float):
 # spectral norm and scaling
 # ---------------------------------------------------------------------------
 
-def spectral_norm(X, tol: float = 1e-6, max_iter: int = 50000, seed: int = 0) -> float:
+def spectral_norm(X) -> float:
     """Largest singular value of X by power iteration on the smaller Gram matrix.
 
-    Deterministic: the start vector comes from a fixed-seed generator.
+    Stops once the eigenvalue estimate moves by at most 1e-8 relative (after
+    at least 11 and at most 50000 steps).  Deterministic: the start vector
+    comes from the generator seeded with 0.
     """
     X = np.asarray(X, dtype=float)
     if X.size == 0 or not np.any(X):
         return 0.0
     n, p = X.shape
     A = X.T @ X if p <= n else X @ X.T
-    v = np.random.default_rng(seed).standard_normal(A.shape[0])
+    v = np.random.default_rng(0).standard_normal(A.shape[0])
     v /= np.linalg.norm(v)
     lam_prev = 0.0
-    for k in range(max_iter):
+    for k in range(50000):
         w = A @ v
         lam = float(np.linalg.norm(w))
         if lam == 0.0:
             return 0.0
         v = w / lam
-        if k >= 10 and abs(lam - lam_prev) <= 0.01 * tol * lam:
+        if k >= 10 and abs(lam - lam_prev) <= 1e-8 * lam:
             break
         lam_prev = lam
     return math.sqrt(lam)
@@ -293,9 +295,10 @@ def scale_problem(problem: Problem, rho: float):
         )
     bstar = None
     if problem.beta_star is not None:
-        bstar = rho * problem.beta_star
+        with np.errstate(over="ignore"):  # beta_star is finite: only the product can overflow
+            bstar = rho * problem.beta_star
         if not np.all(np.isfinite(bstar)):
-            raise ValueError("beta_star must be finite")
+            raise ConfigurationError(f"rho*beta_star overflows at rho={rho:.6g}")
     # the quotient is a fresh array, and finite: |x_ij| <= ||X||_2 <= rho * (1 + 1e-9)
     scaled = Problem._adopt(problem.X / rho, problem.y, bstar, problem.sigma)
 
@@ -487,17 +490,11 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
     trace = IterateTrace(has_errors=problem.beta_star is not None)
     schedule = config.schedule
     lam_t = rule.lam if schedule is None else schedule.value(0)  # None for ridge and lr
-    jump_sets = {}  # Theta's threshold -> array of the rule's jump locations there
+    override = None if lam_t is None else lam_scale * lam_t  # Theta's threshold
+    jumps = np.array(th.discontinuities(rule_a, override))
     pending = []  # (iterate, 0.5*||r||^2) per recorded row still without its objective
     block_rows = max(1, _BLOCK_ENTRIES // max(problem.p, 1))
     reason = "max_iter"
-
-    def at_lambda(lam):
-        # Theta's threshold for the penalty threshold lam, and the jumps there
-        override = None if lam is None else lam_scale * lam
-        if override not in jump_sets:
-            jump_sets[override] = np.array(th.discontinuities(rule_a, override))
-        return override, jump_sets[override]
 
     def flush():
         # the pending rows' objectives: one penalty evaluation on the stacked
@@ -509,7 +506,6 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
             trace.objective.extend(float(q + s) for (_, q), s in zip(pending, pens))
             pending.clear()
 
-    override, jumps = at_lambda(lam_t)
     # Overflow and invalid values are not warned about: the step raises
     # SolverError on the first non-finite gradient point or iterate.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -526,7 +522,8 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
                 if lam_next != lam_t:
                     flush()
                     lam_t = lam_next
-                    override, jumps = at_lambda(lam_t)
+                    override = lam_scale * lam_t
+                    jumps = np.array(th.discontinuities(rule_a, override))
 
             z, beta_new = _step(beta, r, Xs, config.alpha, rule_a, override, it)
             if th.near_jump(z, jumps, 1e-12):

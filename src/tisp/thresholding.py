@@ -164,22 +164,23 @@ def _lr_jump(zeta: float, r: float) -> float:
     return (2.0 * zeta * (1.0 - r)) ** (1.0 / (2.0 - r))
 
 
-def _lr_root(z, zeta, r, tol=1e-12, max_iter=200):
+def _lr_root(z, zeta, r):
     """Root of g(theta) = theta + zeta*r*theta^{r-1} - z on [bracket_low, z].
 
-    Vectorized safeguarded Newton.  g is increasing and convex on the
-    bracket, so Newton started at theta = z descends monotonically onto
-    the root and cannot leave the bracket.
+    Vectorized safeguarded Newton: at most 200 steps, stopping once no step
+    exceeds 1e-12.  g is increasing and convex on the bracket, so Newton
+    started at theta = z descends monotonically onto the root and cannot
+    leave the bracket.
     """
     z = np.asarray(z, dtype=float)
     lo = _lr_bracket_low(zeta, r)
     theta = z.copy()
-    for _ in range(max_iter):
+    for _ in range(200):
         g = theta + zeta * r * theta ** (r - 1.0) - z
         gp = 1.0 + zeta * r * (r - 1.0) * theta ** (r - 2.0)
         step = g / np.maximum(gp, 1e-300)
         theta = np.maximum(theta - step, lo)
-        if np.max(np.abs(step)) <= tol:
+        if np.max(np.abs(step)) <= 1e-12:
             break
     return theta
 
@@ -315,10 +316,11 @@ def integrand_pieces(rule: ThresholdRule, lam_override: float | None = None):
 
     For the eight piecewise-linear kinds these pieces are the single source
     of Theta^{-1} (`inverse`), the contraction constant L (minus the least
-    slope), the effective threshold tau = Theta^{-1}(0) and the jumps (flat
-    pieces, slope -1).  Adding a piecewise-linear rule means adding its
-    pieces here, its Theta to `_theta` and its penalty to
-    `penalty._penalty_theta_closed`.  lr is not piecewise linear and raises.
+    slope), the effective threshold tau = Theta^{-1}(0), the jumps (flat
+    pieces, slope -1) and the induced penalty (`penalty.penalty_theta`
+    integrates them exactly).  Adding a piecewise-linear rule means adding
+    its pieces here and its Theta to `_theta`.  lr is not piecewise linear
+    and raises.
     Zero-width pieces are dropped.
     """
     if rule.kind == "lr":
@@ -369,11 +371,12 @@ def estimate_contraction(rule: ThresholdRule, grid) -> float:
     return float(1.0 - slopes.min())
 
 
-def default_contraction_grid(rule: ThresholdRule, n: int = 2001) -> np.ndarray:
-    """Grid on (0, 10*scale] where scale is the rule's threshold (or 1 if zero)."""
+def default_contraction_grid(rule: ThresholdRule) -> np.ndarray:
+    """2001 points evenly spaced on (0, 10*scale], where scale is the rule's
+    threshold (or 1 if zero)."""
     tau = rule.effective_threshold()
     scale = tau if tau > 0 else 1.0
-    return np.linspace(0.0, 10.0 * scale, n + 1)[1:]
+    return np.linspace(0.0, 10.0 * scale, 2002)[1:]
 
 
 @dataclass
@@ -402,15 +405,16 @@ class AxiomReport:
         return bool(ok and self.contraction_agrees)
 
 
-def verify_axioms(rule: ThresholdRule, t_grid, lambda_grid=(0.5, 1.0, 2.0), apply_fn=None) -> AxiomReport:
+def verify_axioms(rule: ThresholdRule, t_grid, apply_fn=None) -> AxiomReport:
     """Check the defining properties of a thresholding rule on grids.
 
-    Reports worst violations; never raises on failure.  `apply_fn(t_array, lam)`
+    Rules with lambda are checked at lambda = 0.5, 1 and 2.  Reports worst
+    violations; never raises on failure.  `apply_fn(t_array, lam)`
     may replace the rule's own map (used to exercise the report on corrupted
     rules in tests).
     """
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
-    lams = list(lambda_grid) if rule.kind in LAMBDA_KINDS else [None]
+    lams = [0.5, 1.0, 2.0] if rule.kind in LAMBDA_KINDS else [None]
     if apply_fn is None:
         apply_fn = lambda ts, lam: apply_vec(rule, ts, lam)
 

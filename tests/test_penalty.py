@@ -1,5 +1,7 @@
 """Induced penalties: closed forms vs quadrature, dominance, augmentations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,12 @@ FROZEN = [
     ("berhu(lambda=1,eta=0.5)", 2.0, 2.0),          # branch point lam/eta
     ("berhu(lambda=1,eta=0.5)", 4.0, 5.0),
     ("hard-ridge(lambda=1,eta=0.5)", 2.0, 1.0 + 1.0 / 3.0),
+    ("hard-ridge(lambda=1,eta=0.5)", 0.5, 0.375),   # lam t - t^2/2 below lam/(1+eta)
+    ("berhu(lambda=1,eta=0.5)", 1.0, 1.0),          # lam t below lam/eta
+    ("scad(lambda=1,a=3.7)", 0.5, 0.5),             # lam t below lam
+    ("scad(lambda=1,a=3.7)", 2.0, 9.8 / 5.4),       # (2 a lam t - t^2 - lam^2) / (2 (a-1))
     ("scad(lambda=1,a=3.7)", 10.0, 0.5 * 4.7),      # saturates at (a+1) lam^2 / 2
+    ("mcp(lambda=1,gamma=2)", 1.0, 0.75),           # lam t - t^2 / (2 gamma)
     ("mcp(lambda=1,gamma=2)", 5.0, 1.0),            # saturates at gamma lam^2 / 2
     ("lr(r=0.5,zeta=1)", 1.0, 1.0),                 # quadratic head up to the jump
     ("lr(r=0.5,zeta=1)", 4.0, 2.0),                 # head + zeta (sqrt(4) - 1)
@@ -64,7 +71,10 @@ def test_penalty_basic_shape_properties():
 
 
 # ---------------------------------------------------------------------------
-# closed form vs quadrature (the two routes never share code)
+# closed form vs quadrature: both routes read `integrand_pieces` (exactly
+# integrated, and numerically through `inverse`); the frozen rows above anchor
+# every piece, and test_inverse_is_grid_supremum ties the pieces to the
+# independent per-kind Theta
 # ---------------------------------------------------------------------------
 
 def test_closed_form_matches_quadrature():
@@ -218,6 +228,17 @@ def test_energy_accepts_bare_rule_and_checks_shape():
     assert energy(rule("soft(lambda=1)"), prob, np.zeros(2), 1.0) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         energy(rule("soft(lambda=1)"), prob, np.zeros(3), 1.0)
+
+
+def test_penalty_of_a_template_needs_lambda():
+    # a rule template without lambda has no penalty until one is supplied
+    for r in CATALOG:
+        if r.kind not in LAMBDA_KINDS:
+            continue
+        template = dataclasses.replace(r, lam=None)
+        with pytest.raises(ValueError, match="no lambda"):
+            penalty_theta(template, 1.0)
+        assert penalty_theta(template, 1.5, lam_override=r.lam) == penalty_theta(r, 1.5)
 
 
 def test_penalty_rejects_nonfinite_and_bad_override():

@@ -82,6 +82,19 @@ def test_scale_problem_scales_beta_star():
     assert np.allclose(scaled.beta_star, 2.0 * bstar)
 
 
+def test_scale_problem_reports_an_overflowing_beta_star():
+    # a finite beta_star whose scaled value overflows is blamed on the
+    # product, without a numpy warning ahead of the error
+    X = np.diag([4.0, 1.0])
+    prob = Problem(X, np.zeros(2), beta_star=np.array([1e308, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConfigurationError, match=r"rho\*beta_star overflows"):
+            scale_problem(prob, 1.01 * prob.norm)
+        with pytest.raises(ConfigurationError, match=r"rho\*beta_star overflows"):
+            solve(prob, SolverConfig(rule=rule("soft(lambda=1)")))
+
+
 def test_resolve_rho():
     prob = random_problem(2, n=8, p=3, y_scale=1.0)
     norm = spectral_norm(prob.X)
