@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .thresholding import (
-    LAMBDA_KINDS,
     ThresholdRule,
     _lr_jump,
     _lr_zero_boundary,
@@ -92,10 +91,7 @@ def penalty_theta(spec, t, lam_override: float | None = None):
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ValueError("penalty input must be finite")
-    lam = rule_lambda(spec.rule, lam_override)
-    if lam is None and spec.rule.kind in LAMBDA_KINDS:
-        raise ValueError(f"rule {spec.rule.kind!r} has no lambda; pass lam_override")
-    out = _penalty_z(spec, np.abs(t), lam)
+    out = _penalty_z(spec, np.abs(t), rule_lambda(spec.rule, lam_override))
     return out if out.ndim else float(out)
 
 
@@ -199,19 +195,89 @@ def energy(spec, problem, beta, rho: float, lam_override: float | None = None) -
     X, y = problem.X, problem.y
     if beta.shape != (X.shape[1],):
         raise ValueError(f"beta has shape {beta.shape}, expected ({X.shape[1]},)")
-    return _objective(spec, _times(X, beta) - y, rho * beta, lam_override)
+    memo = getattr(problem, "memo", None) or SupportMemo(X)
+    return _objective(spec, memo.times(beta) - y, rho * beta, lam_override)
 
 
 def _times(X, b) -> np.ndarray:
-    # X @ b over b's nonzeros when they are at most 1/32 of its entries; the
-    # column gather costs what the dense product does near p/28 nonzeros
-    # (2000x5000 and 1000x2000, 2 BLAS threads).  Below 32 entries, always
-    # dense.  Every design-times-coefficients product on the solve path goes
-    # through here, so a replay of its iterates gives the same numbers.
-    if b.size >= 32 and 32 * np.count_nonzero(b) <= b.size:
-        nz = np.flatnonzero(b)
-        return X[:, nz] @ b[nz]
-    return X @ b
+    # X @ b, by the route a Problem's memo takes
+    return SupportMemo(X).times(b)
+
+
+# floats a support memo holds at most (16 MB) besides X'y
+_MEMO_ENTRIES = 1 << 21
+
+
+class SupportMemo:
+    """What the products of a design X with a sparse coefficient vector read.
+
+    Per column j that entered a support: a contiguous copy of x_j and, once
+    a gradient needed it, the Gram row X'x_j; and X'y.  A vector b with
+    p >= 32 entries, at most p/32 of them nonzero, whose pieces fit the memo,
+    is multiplied over its support S: X b = b_S x_S from contiguous rows, and
+    X'(y - X b) = X'y - b_S G_S, so a Gram row streams the design once when
+    its column enters, not once per iteration.  Other vectors take the dense
+    products.  The column gather costs what the dense product does near p/28
+    nonzeros (2000x5000 and 1000x2000, 2 BLAS threads).
+
+    A pure memo: each piece is made by the same one-column product whatever
+    else is held, and a product reads only its support's pieces, so which
+    columns are held never changes a bit of a result.  It holds at most
+    `_MEMO_ENTRIES` floats besides X'y and is cleared when a support's
+    missing pieces do not fit.
+    """
+
+    def __init__(self, X, y=None):
+        self.X, self.y = X, y
+        self._cols = {}  # j -> x_j, contiguous
+        self._gram = {}  # j -> X'x_j
+        self._held = 0  # floats in both tables
+        self._xty = None
+
+    def _support(self, b):
+        # b's nonzeros when the products go over them, else None; the callers
+        # never scan b below 32 entries (nor pay for this call)
+        k = np.count_nonzero(b)
+        if 32 * k <= b.size and k * (self.X.shape[0] + b.size) <= _MEMO_ENTRIES:
+            return np.flatnonzero(b)
+        return None
+
+    def _rows(self, nz, gram=False):
+        # the support's column copies (k x n), or its Gram rows (k x p), after
+        # filling the missing ones one column at a time
+        n, p = self.X.shape
+        js = nz.tolist()
+        new_cols = [j for j in js if j not in self._cols]
+        new_gram = [j for j in js if j not in self._gram] if gram else []
+        if self._held + n * len(new_cols) + p * len(new_gram) > _MEMO_ENTRIES:
+            self._cols, self._gram, self._held = {}, {}, 0
+            new_cols, new_gram = js, (js if gram else [])
+        for j in new_cols:
+            self._cols[j] = self.X[:, j].copy()
+        for j in new_gram:
+            self._gram[j] = self.X.T @ self._cols[j]
+        self._held += n * len(new_cols) + p * len(new_gram)
+        table = self._gram if gram else self._cols
+        out = np.empty((len(js), p if gram else n))
+        for i, j in enumerate(js):
+            out[i] = table[j]
+        return out
+
+    def times(self, b) -> np.ndarray:
+        """X @ b."""
+        nz = self._support(b) if b.size >= 32 else None
+        if nz is None:
+            return self.X @ b
+        return b[nz] @ self._rows(nz)
+
+    def gradient(self, b, r) -> np.ndarray:
+        """X'r at the residual r = y - self.times(b)."""
+        nz = self._support(b) if b.size >= 32 else None
+        if nz is None:
+            return self.X.T @ r
+        if self._xty is None:
+            self._xty = self.X.T @ self.y
+        return self._xty - b[nz] @ self._rows(nz, gram=True)
 
 
 def _objective(spec: PenaltySpec, resid, t, lam: float | None = None) -> float:

@@ -96,6 +96,13 @@ class Problem:
         so every solve on this problem shares one norm."""
         return spectral_norm(self.X)
 
+    @functools.cached_property
+    def memo(self) -> pen.SupportMemo:
+        """The support memo (`penalty.SupportMemo`) through which `solve`,
+        `tisp_step`, `error_metrics` and `energy` multiply X by coefficient
+        vectors; it never changes a result."""
+        return pen.SupportMemo(self.X, self.y)
+
 
 # ---------------------------------------------------------------------------
 # threshold schedules
@@ -317,24 +324,26 @@ def tisp_step(beta, scaled_problem: Problem, rule: th.ThresholdRule,
     adjustment of the threshold is applied internally.
     """
     beta = np.asarray(beta, dtype=float)
-    Xs, y = scaled_problem.X, scaled_problem.y
-    if beta.shape != (Xs.shape[1],):
-        raise ValueError(f"beta has shape {beta.shape}, expected ({Xs.shape[1]},)")
+    p = scaled_problem.p
+    if beta.shape != (p,):
+        raise ValueError(f"beta has shape {beta.shape}, expected ({p},)")
     rule_a, lam_scale = stepsize_transform(rule, alpha)
     lam = th.rule_lambda(rule_a, None if lam is None else lam_scale * float(lam))
+    memo = scaled_problem.memo
     with np.errstate(over="ignore", invalid="ignore"):  # _step reports non-finite values
-        z, beta_new = _step(beta, y - pen._times(Xs, beta), Xs, alpha, rule_a, lam)
+        z, beta_new = _step(beta, scaled_problem.y - memo.times(beta), memo, alpha, rule_a, lam)
     if not np.isfinite(beta_new).all():
         raise _nonfinite(1, z)
     return beta_new
 
 
-def _step(beta, r, Xs, alpha, rule_a, lam, it=1):
-    """z = |v| at the gradient point v = beta + alpha * Xs'r (r = y - Xs beta)
-    and the step Theta(v; lam), lam resolved.  SolverError when v is not
-    finite (`it` numbers the iteration); the check must stay on v, because
-    `hard` maps a NaN to 0.  Callers check Theta(v) themselves."""
-    g = Xs.T @ r
+def _step(beta, r, memo, alpha, rule_a, lam, it=1):
+    """z = |v| at the gradient point v = beta + alpha * Xs'r (r = y - Xs beta,
+    Xs and y the scaled problem's, `memo` its support memo) and the step
+    Theta(v; lam), lam resolved.  SolverError when v is not finite (`it`
+    numbers the iteration); the check must stay on v, because `hard` maps a
+    NaN to 0.  Callers check Theta(v) themselves."""
+    g = memo.gradient(beta, r)
     v = beta + (g if alpha == 1.0 else alpha * g)  # 1.0 * g == g: skip the multiply
     z = np.abs(v)
     if z.size and not math.isfinite(z.max()):
@@ -372,7 +381,7 @@ def error_metrics(beta, problem: Problem, rho: float) -> dict:
     if problem.beta_star is None:
         raise ValueError("error metrics require a problem with beta_star")
     delta = np.asarray(beta, dtype=float) - problem.beta_star
-    xd = pen._times(problem.X, delta)  # delta's support is supp beta | supp beta*
+    xd = problem.memo.times(delta)  # delta's support is supp beta | supp beta*
     pred = float(xd @ xd)
     est = float(delta @ delta)
     return {"pred": pred, "est": est, "weighted": rho * rho * est - pred}
@@ -483,7 +492,7 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
     rule = config.rule
     rho = resolve_rho(problem, config)
     scaled, unscale = scale_problem(problem, rho)
-    Xs, y = scaled.X, scaled.y
+    memo, y = scaled.memo, scaled.y  # a fresh memo per solve
     rule_a, lam_scale = stepsize_transform(rule, config.alpha)
     pen_spec = pen.PenaltySpec(rule=rule, augmentation=config.augmentation)
 
@@ -515,7 +524,7 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
             beta = rho * np.asarray(start, dtype=float)
             if beta.shape != (problem.p,):
                 raise ValueError(f"start has shape {beta.shape}, expected ({problem.p},)")
-        r = y - pen._times(Xs, beta)  # residual of the current iterate, one per iterate
+        r = y - memo.times(beta)  # residual of the current iterate, one per iterate
         for it in range(1, config.max_iter + 1):
             if schedule is not None:
                 lam_next = schedule.value(it - 1)
@@ -525,12 +534,12 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
                     override = lam_scale * lam_t
                     jumps = np.array(th.discontinuities(rule_a, override))
 
-            z, beta_new = _step(beta, r, Xs, config.alpha, rule_a, override, it)
+            z, beta_new = _step(beta, r, memo, config.alpha, rule_a, override, it)
             if th.near_jump(z, jumps, 1e-12):
                 trace.flagged.append(it)
             fp_res = _sup_change(beta_new, beta, z, it)
             beta = beta_new
-            r = y - pen._times(Xs, beta)
+            r = y - memo.times(beta)
             done = fp_res <= config.tol or it == config.max_iter
 
             if it % config.record_every == 0 or done:
@@ -546,7 +555,7 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
         flush()
 
         # fixed-point residual at the final iterate, at the final threshold
-        z, theta_v = _step(beta, r, Xs, config.alpha, rule_a, override, it)
+        z, theta_v = _step(beta, r, memo, config.alpha, rule_a, override, it)
         theta_res = _sup_change(theta_v, beta, z, it)
     return SolveResult(
         beta=unscale(beta),

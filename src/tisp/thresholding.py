@@ -190,10 +190,18 @@ def _lr_root(z, zeta, r):
 # ---------------------------------------------------------------------------
 
 def rule_lambda(rule: ThresholdRule, lam_override: float | None = None) -> float | None:
-    """Lambda in force for one call: the override if given, else the rule's own."""
-    if lam_override is not None and rule.kind not in LAMBDA_KINDS:
-        raise ValueError(f"rule {rule.kind!r} has no threshold parameter to override")
-    return rule.lam if lam_override is None else float(lam_override)
+    """Lambda in force for one call: the override if given, else the rule's own;
+    None for ridge and lr.  ValueError for a template without lambda (a
+    lambda kind whose lam is None) when no override is given."""
+    if rule.kind not in LAMBDA_KINDS:
+        if lam_override is not None:
+            raise ValueError(f"rule {rule.kind!r} has no threshold parameter to override")
+        return None
+    if lam_override is not None:
+        return float(lam_override)
+    if rule.lam is None:
+        raise ValueError(f"rule {rule.kind!r} has no lambda; pass lam_override")
+    return rule.lam
 
 
 def apply_vec(rule: ThresholdRule, t, lam_override: float | None = None) -> np.ndarray:
@@ -320,18 +328,21 @@ def integrand_pieces(rule: ThresholdRule, lam_override: float | None = None):
     pieces, slope -1) and the induced penalty (`penalty.penalty_theta`
     integrates them exactly).  Adding a piecewise-linear rule means adding
     its pieces here and its Theta to `_theta`.  lr is not piecewise linear
-    and raises.
+    and raises, as does a template without lambda and without an override
+    (`rule_lambda`).
     Zero-width pieces are dropped.
     """
     if rule.kind == "lr":
         raise ValueError("lr integrand is not piecewise linear")
     # soft and ridge are elastic-net at eta = 0 and at lambda = 0; hard is
     # hard-ridge at eta = 0
-    lam = rule_lambda(rule, lam_override) or 0.0
+    lam = rule_lambda(rule, lam_override)
     eta = rule.eta or 0.0
     kind = rule.kind
     inf = math.inf
-    if kind in ("soft", "ridge", "elastic-net"):
+    if kind == "ridge":
+        pieces = [(0.0, inf, eta, 0.0)]
+    elif kind in ("soft", "elastic-net"):
         pieces = [(0.0, inf, eta, lam)]
     elif kind in ("hard", "hard-ridge"):
         knot = lam / (1.0 + eta)

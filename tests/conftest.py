@@ -1,9 +1,16 @@
 """Shared fixtures."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import tisp.solver
+
+# child processes (`python -m tisp.cli`) import the package the tests import
+_SRC = str(Path(tisp.solver.__file__).resolve().parents[1])
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture

@@ -81,6 +81,15 @@ def test_solve_bad_rule(capsys, scalar_files):
     assert "bogus" in err
 
 
+def test_solve_rule_without_lambda(capsys, scalar_files):
+    # a lambda kind without lambda or a schedule is a configuration error
+    design, response = scalar_files
+    code, out, err = run(capsys, ["solve", "--design", str(design),
+                                  "--response", str(response), "--rule", "hard"])
+    assert code == 1 and out == ""
+    assert "rule 'hard' needs lambda or a schedule" in err
+
+
 def test_solve_bad_schedule(capsys, scalar_files):
     design, response = scalar_files
     code, out, err = run(capsys, ["solve", "--design", str(design),

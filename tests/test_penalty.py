@@ -8,6 +8,7 @@ import pytest
 from tisp.penalty import (
     AUGMENTATIONS,
     PenaltySpec,
+    SupportMemo,
     _times,
     energy,
     penalty_hard,
@@ -276,3 +277,25 @@ def test_times_over_the_support(monkeypatch, p):
             probe = np.where(b == 0.0, np.nan, X)
             assert np.isfinite(_times(probe, b)).all() == over_support, (p, nnz)
     assert bool(scans) == (p >= 32)
+
+
+@pytest.mark.parametrize("p", [32, 64, 3000])
+def test_gradient_over_the_support(p):
+    # X'(y - X b) is X'y - b_S G_S from the memo's Gram rows when b has at
+    # most p/32 nonzeros, and the dense X'r otherwise
+    rng = np.random.default_rng(p)
+    X = rng.standard_normal((9, p))
+    y = rng.standard_normal(9)
+    for nnz in (p // 32, p // 32 + 1):
+        memo = SupportMemo(X, y)
+        b = np.zeros(p)
+        b[rng.choice(p, nnz, replace=False)] = rng.standard_normal(nnz) * 10.0 ** rng.integers(-3, 4, nnz)
+        r = y - memo.times(b)
+        got, dense = memo.gradient(b, r), X.T @ r
+        if 32 * nnz <= p:
+            scale = np.abs(X.T) @ (np.abs(y) + np.abs(X) @ np.abs(b))
+            assert np.all(np.abs(got - dense) <= 1e-13 * scale), (p, nnz)
+            assert sorted(memo._gram) == np.flatnonzero(b).tolist()
+        else:
+            assert np.array_equal(got, dense), (p, nnz)
+            assert not memo._gram

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import tisp.penalty
 import tisp.solver
 from tisp.penalty import PenaltySpec, energy, penalty_theta
 from tisp.solver import (
@@ -239,6 +240,54 @@ def test_tisp_step_is_hard_thresholded_gradient():
     assert np.array_equal(tisp_step(beta, scaled, r), expected)
 
 
+def test_support_memo_is_transparent_to_tisp_step():
+    # a scaled problem whose memo has held other supports, and has been
+    # cleared at its cap, steps to the same bits as a fresh one
+    n, p = 10, 3000
+    prob = random_problem(8, n=n, p=p, y_scale=10.0)
+    rho = 1.01 * prob.norm
+    rng = np.random.default_rng(8)
+    worn, _ = scale_problem(prob, rho)
+    memo, cleared = worn.memo, 0
+    for cols in np.array_split(rng.permutation(p), 33):  # 90-91 columns each
+        other = np.zeros(p)
+        other[cols] = rng.standard_normal(cols.size)
+        held = set(memo._cols)
+        tisp_step(other, worn, rule("soft(lambda=0.5)"))
+        cleared += not held <= set(memo._cols)
+    assert cleared >= 2  # 3000 columns through a memo of 2**21 // 3010 = 696
+    beta = np.zeros(p)
+    nz = rng.choice(p, 93, replace=False)  # the most the support route takes
+    beta[nz] = rng.standard_normal(93)
+    for j in nz[:4]:  # some of its columns enter the memo alone
+        single = np.zeros(p)
+        single[j] = 1.0
+        tisp_step(single, worn, rule("soft(lambda=0.5)"))
+    assert 4 < len(set(nz) & set(memo._gram)) < 93
+    for text in ["hard(lambda=0.5)", "soft(lambda=0.1)", "mcp(lambda=0.3,gamma=2)"]:
+        fresh, _ = scale_problem(prob, rho)
+        assert np.array_equal(tisp_step(beta, worn, rule(text)), tisp_step(beta, fresh, rule(text)))
+
+
+def test_a_solve_does_not_depend_on_earlier_solves():
+    # a Problem keeps its norm and its memo across solves; a solve gives the
+    # same bits whether or not another rule was solved on it first
+    base = random_problem(30000, n=10, p=3000, y_scale=10.0)  # <= 77 nonzeros
+    bstar = np.zeros(base.p)
+    bstar[:5] = 2.0
+    cfgs = [SolverConfig(rule=rule(t), tol=1e-10, max_iter=70)
+            for t in ("hard(lambda=0.6)", "soft(lambda=0.6)", "scad(lambda=0.6)")]
+    for first, then in [(0, 1), (1, 0), (2, 0)]:
+        alone = solve(Problem(base.X, base.y, beta_star=bstar), cfgs[then])
+        shared = Problem(base.X, base.y, beta_star=bstar)
+        solve(shared, cfgs[first])
+        after = solve(shared, cfgs[then])
+        assert any(0 < 32 * s <= base.p for s in after.trace.support)
+        assert np.array_equal(alone.beta, after.beta)
+        assert alone.trace.to_csv_string() == after.trace.to_csv_string()
+        assert (alone.theta_residual, alone.trace.flagged) == (after.theta_residual, after.trace.flagged)
+
+
 # ---------------------------------------------------------------------------
 # stepsize
 # ---------------------------------------------------------------------------
@@ -449,6 +498,7 @@ def test_recorded_objective_across_block_flushes(monkeypatch):
               PenaltySpec(rule("hard(lambda=0.6)"), "l0"),
               PenaltySpec(rule("hard-ridge(lambda=0.6,eta=0.5)"), "l0+l2")]
     geometric = LambdaSchedule.geometric(2.0, 0.8, 0.5)
+    slow = LambdaSchedule.geometric(2.0, 0.97, 1.0)
     cases = [  # (n, p, y_scale, record_every, schedule, max_iter)
         (15, 25, 3.0, 1, geometric, 300),
         (15, 25, 3.0, 3, None, 300),
@@ -456,9 +506,27 @@ def test_recorded_objective_across_block_flushes(monkeypatch):
         (10, 3000, 30.0, 1, None, 70),  # up to 70 rows x 3000 = 3.2 blocks
         (10, 3000, 30.0, 2, geometric, 70),
         (10, 3000, 10.0, 1, None, 70),  # at most 77 nonzeros: the support products
+        (10, 3000, 30.0, 1, slow, 70),  # supports that move, on a memo of 64 columns
     ]
+    # the last case's memo fills in several steps and is cleared when full
+    memo_entries = {cases[-1]: 64 * 3010}
+    rows = tisp.penalty.SupportMemo._rows
+    fills = []  # (new Gram rows, held columns dropped) per product that grew the memo
+
+    def counting(memo, nz, gram=False):
+        held, grams = set(memo._cols), len(memo._gram)
+        out = rows(memo, nz, gram)
+        if len(memo._gram) != grams or not held <= set(memo._cols):
+            fills.append((len(memo._gram) - grams, not held <= set(memo._cols)))
+        return out
+
+    monkeypatch.setattr(tisp.penalty.SupportMemo, "_rows", counting)
     many_blocks = sparse_rows = 0
-    for n, p, y_scale, record_every, schedule, max_iter in cases:
+    for case in cases:
+        n, p, y_scale, record_every, schedule, max_iter = case
+        monkeypatch.setattr(tisp.penalty, "_MEMO_ENTRIES",
+                            memo_entries.get(case, tisp.penalty._MEMO_ENTRIES))
+        fills.clear()
         prob = random_problem(n * p, n=n, p=p, y_scale=y_scale)
         for spec in specs:
             r = spec.rule
@@ -486,6 +554,8 @@ def test_recorded_objective_across_block_flushes(monkeypatch):
             assert res.objective == trace.objective[-1]
             many_blocks += len(trace.iterations) * p >= 3 * 2**16
             sparse_rows += sum(0 < 32 * s <= p for s in trace.support)
+        if case in memo_entries:
+            assert sum(grew > 0 for grew, _ in fills) >= 20 and any(dropped for _, dropped in fills)
     assert many_blocks >= 5
     # each such row went through solve's residual and the replay's energy
     assert sparse_rows >= 300 and len(gathered) >= 2 * sparse_rows

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tisp.penalty import penalty_theta_quadrature
 from tisp.thresholding import (
     KINDS,
     LAMBDA_KINDS,
@@ -25,6 +26,7 @@ from tisp.thresholding import (
     inverse,
     parse_rule,
     rule_catalog,
+    rule_lambda,
     verify_axioms,
     _lr_jump,
     _lr_zero_boundary,
@@ -352,6 +354,31 @@ def test_lambda_override_rejected_for_parameterless_rules():
             apply_vec(rule(text), np.array([1.0]), 2.0)
     with pytest.raises(ValueError):
         rule("ridge(eta=0.5)").with_lambda(1.0)
+
+
+def test_template_without_lambda_needs_an_override():
+    # a lambda kind parsed without lambda answers nothing until one is given:
+    # every lambda-reading function raises instead of using lambda = 0
+    t = np.array([1.0, -2.5])
+    for r in CATALOG:
+        if r.kind not in LAMBDA_KINDS:
+            assert rule_lambda(r) is None
+            continue
+        template = replace(r, lam=None)  # as parse_rule(..., require_lambda=False) gives
+        calls = [lambda: rule_lambda(template), lambda: integrand_pieces(template),
+                 lambda: inverse(template, 0.0), template.effective_threshold,
+                 lambda: discontinuities(template), lambda: apply_vec(template, t),
+                 lambda: penalty_theta_quadrature(template, 2.0)]
+        for call in calls:
+            with pytest.raises(ValueError, match="no lambda"):
+                call()
+        # lambda-free: the contraction constant
+        assert template.contraction == r.contraction
+        assert rule_lambda(template, r.lam) == r.lam
+        assert inverse(template, 0.7, r.lam) == inverse(r, 0.7)
+        assert discontinuities(template, r.lam) == discontinuities(r)
+        assert np.array_equal(apply_vec(template, t, r.lam), apply_vec(r, t))
+        assert penalty_theta_quadrature(template, 2.0, lam_override=r.lam) == penalty_theta_quadrature(r, 2.0)
 
 
 # ---------------------------------------------------------------------------
