@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -18,6 +18,11 @@ import numpy as np
 from . import penalty as pen
 from . import thresholding as th
 from .solver import Problem
+
+
+# floats of column submatrices `l0_global_min` stacks into one solve (16 MB);
+# the supports of one size are split into blocks of at most this many
+_STACK_FLOATS = 1 << 21
 
 
 class L0Result(NamedTuple):
@@ -33,8 +38,10 @@ def l0_global_min(problem: Problem, lam: float, rho: float) -> L0Result:
     """Exact global minimizer of 0.5*||y - (X/rho) b||^2 + (lam^2/2)*||b||_0.
 
     Enumerates all supports (hence the p <= 14 refusal) and solves least
-    squares on each via pseudoinverse with cutoff 1e-10.  The returned
-    ``beta`` lives in the scaled coordinates b = rho * beta_original.
+    squares on each via pseudoinverse with cutoff 1e-10: one stacked
+    pseudoinverse per support size, in blocks of at most `_STACK_FLOATS`
+    submatrix entries.  Ties go to the lexicographically least support.  The
+    returned ``beta`` lives in the scaled coordinates b = rho * beta_original.
 
     Every nonzero of a true global minimizer has magnitude >= lam.  Rank
     deficiency can produce least-squares candidates that break this gap; in
@@ -56,18 +63,28 @@ def l0_global_min(problem: Problem, lam: float, rho: float) -> L0Result:
         r = y - Xs @ b
         return float(0.5 * r @ r + half_lam2 * np.count_nonzero(b))
 
+    # the least (objective, support) over all supports, empty one first; the
+    # supports of one size are solved as stacks of column submatrices, whose
+    # every matrix numpy solves as it would that matrix alone
     best_beta = np.zeros(p)
     best_obj = objective(best_beta)
     best_support = ()
     for size in range(1, p + 1):
-        for support in combinations(range(p), size):
-            cols = Xs[:, support]
-            coef = np.linalg.pinv(cols, rcond=1e-10) @ y
-            b = np.zeros(p)
-            b[list(support)] = coef
-            obj = objective(b)
+        supports = combinations(range(p), size)
+        per_block = max(1, _STACK_FLOATS // max(problem.n * size, 1))
+        while block := list(islice(supports, per_block)):
+            S = np.array(block)
+            coef = np.linalg.pinv(Xs.T[S].transpose(0, 2, 1), rcond=1e-10) @ y
+            B = np.zeros((len(block), p))
+            B[np.arange(len(block))[:, None], S] = coef
+            R = y - np.matmul(Xs, B[:, :, None])[:, :, 0]
+            objs = (np.matmul((0.5 * R)[:, None, :], R[:, :, None])[:, 0, 0]
+                    + half_lam2 * np.count_nonzero(B, axis=1))
+            low = objs.min(initial=np.inf, where=objs == objs)  # NaN never wins
+            i = int(np.argmax(objs == low))  # first in the block: the least support
+            obj, support = float(objs[i]), block[i]
             if obj < best_obj or (obj == best_obj and support < best_support):
-                best_obj, best_beta, best_support = obj, b, support
+                best_obj, best_beta, best_support = obj, B[i].copy(), support
 
     nz = best_beta[best_beta != 0]
     min_mag = float(np.min(np.abs(nz))) if nz.size else math.inf

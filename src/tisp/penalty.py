@@ -206,6 +206,7 @@ def _times(X, b) -> np.ndarray:
 
 # floats a support memo holds at most (16 MB) besides X'y
 _MEMO_ENTRIES = 1 << 21
+_SCAN = object()  # `SupportMemo.times`/`gradient`: find b's support yourself
 
 
 class SupportMemo:
@@ -224,7 +225,8 @@ class SupportMemo:
     else is held, and a product reads only its support's pieces, so which
     columns are held never changes a bit of a result.  It holds at most
     `_MEMO_ENTRIES` floats besides X'y and is cleared when a support's
-    missing pieces do not fit.
+    missing pieces do not fit; the last support's stacked copies and Gram
+    rows are kept besides, and reused while the support stays the same.
     """
 
     def __init__(self, X, y=None):
@@ -233,10 +235,17 @@ class SupportMemo:
         self._gram = {}  # j -> X'x_j
         self._held = 0  # floats in both tables
         self._xty = None
+        self._last = {False: (None, None), True: (None, None)}  # gram -> (support bytes, rows)
 
-    def _support(self, b):
-        # b's nonzeros when the products go over them, else None; the callers
-        # never scan b below 32 entries (nor pay for this call)
+    def support(self, b):
+        """b's nonzeros when the products with b go over them, else None.
+
+        A caller that multiplies one b several times finds its support once
+        and passes it to `times` and `gradient`.  Below 32 entries b is
+        never scanned.
+        """
+        if b.size < 32:
+            return None
         k = np.count_nonzero(b)
         if 32 * k <= b.size and k * (self.X.shape[0] + b.size) <= _MEMO_ENTRIES:
             return np.flatnonzero(b)
@@ -245,6 +254,10 @@ class SupportMemo:
     def _rows(self, nz, gram=False):
         # the support's column copies (k x n), or its Gram rows (k x p), after
         # filling the missing ones one column at a time
+        key = nz.tobytes()
+        last_key, last_rows = self._last[gram]
+        if key == last_key:
+            return last_rows
         n, p = self.X.shape
         js = nz.tolist()
         new_cols = [j for j in js if j not in self._cols]
@@ -258,21 +271,22 @@ class SupportMemo:
             self._gram[j] = self.X.T @ self._cols[j]
         self._held += n * len(new_cols) + p * len(new_gram)
         table = self._gram if gram else self._cols
-        out = np.empty((len(js), p if gram else n))
-        for i, j in enumerate(js):
-            out[i] = table[j]
-        return out
+        rows = np.array([table[j] for j in js]).reshape(len(js), p if gram else n)
+        self._last[gram] = (key, rows)
+        return rows
 
-    def times(self, b) -> np.ndarray:
-        """X @ b."""
-        nz = self._support(b) if b.size >= 32 else None
+    def times(self, b, nz=_SCAN) -> np.ndarray:
+        """X @ b; `nz` is `support(b)` when the caller holds it."""
+        if nz is _SCAN:
+            nz = self.support(b)
         if nz is None:
             return self.X @ b
         return b[nz] @ self._rows(nz)
 
-    def gradient(self, b, r) -> np.ndarray:
-        """X'r at the residual r = y - self.times(b)."""
-        nz = self._support(b) if b.size >= 32 else None
+    def gradient(self, b, r, nz=_SCAN) -> np.ndarray:
+        """X'r at the residual r = y - self.times(b); `nz` as in `times`."""
+        if nz is _SCAN:
+            nz = self.support(b)
         if nz is None:
             return self.X.T @ r
         if self._xty is None:
@@ -282,6 +296,6 @@ class SupportMemo:
 
 def _objective(spec: PenaltySpec, resid, t, lam: float | None = None) -> float:
     # 0.5*||resid||^2 + sum_j P(|t_j|): `energy` without its input checks, at
-    # a residual the caller already holds (the solver passes y - Xs beta, whose
-    # exact negation leaves the sum unchanged, on every recorded iteration)
+    # a residual the caller already holds.  `solve` records the same 0.5*r @ r
+    # per block of rows at r = y - Xs beta, whose exact negation leaves it equal
     return float(0.5 * resid @ resid + penalty_theta(spec, t, lam).sum())

@@ -330,23 +330,26 @@ def tisp_step(beta, scaled_problem: Problem, rule: th.ThresholdRule,
     rule_a, lam_scale = stepsize_transform(rule, alpha)
     lam = th.rule_lambda(rule_a, None if lam is None else lam_scale * float(lam))
     memo = scaled_problem.memo
+    nz = memo.support(beta)
     with np.errstate(over="ignore", invalid="ignore"):  # _step reports non-finite values
-        z, beta_new = _step(beta, scaled_problem.y - memo.times(beta), memo, alpha, rule_a, lam)
+        r = scaled_problem.y - memo.times(beta, nz)
+        z, beta_new = _step(beta, r, nz, memo, alpha, rule_a, lam)
     if not np.isfinite(beta_new).all():
         raise _nonfinite(1, z)
     return beta_new
 
 
-def _step(beta, r, memo, alpha, rule_a, lam, it=1):
+def _step(beta, r, nz, memo, alpha, rule_a, lam, it=1):
     """z = |v| at the gradient point v = beta + alpha * Xs'r (r = y - Xs beta,
-    Xs and y the scaled problem's, `memo` its support memo) and the step
-    Theta(v; lam), lam resolved.  SolverError when v is not finite (`it`
-    numbers the iteration); the check must stay on v, because `hard` maps a
-    NaN to 0.  Callers check Theta(v) themselves."""
-    g = memo.gradient(beta, r)
+    Xs and y the scaled problem's, `memo` its support memo and nz =
+    `memo.support(beta)`) and the step Theta(v; lam), lam resolved.
+    SolverError when v is not finite (`it` numbers the iteration); the check
+    must stay on v, because `hard` maps a NaN to 0.  Callers check Theta(v)
+    themselves."""
+    g = memo.gradient(beta, r, nz)
     v = beta + (g if alpha == 1.0 else alpha * g)  # 1.0 * g == g: skip the multiply
     z = np.abs(v)
-    if z.size and not math.isfinite(z.max()):
+    if z.size and not math.isfinite(np.maximum.reduce(z)):
         raise _nonfinite(it, z)
     return z, th._theta(rule_a, v, z, lam)
 
@@ -354,7 +357,7 @@ def _step(beta, r, memo, alpha, rule_a, lam, it=1):
 def _sup_change(beta_new, beta, z, it):
     """||beta_new - beta||_inf; SolverError when beta_new is not finite.  A
     non-finite beta_new makes the sup non-finite, so only then is it scanned."""
-    res = float(np.abs(beta_new - beta).max()) if beta.size else 0.0
+    res = float(np.maximum.reduce(np.abs(beta_new - beta))) if beta.size else 0.0
     if not math.isfinite(res) and not np.isfinite(beta_new).all():
         raise _nonfinite(it, z)
     return res
@@ -454,7 +457,8 @@ class IterateTrace:
 # main solve loop
 # ---------------------------------------------------------------------------
 
-# recorded iterates x p entries per stacked block whose penalty is evaluated at once
+# recorded rows x (p + n) entries, iterates and residuals, per stacked block
+# whose objectives are evaluated at once
 _BLOCK_ENTRIES = 1 << 16
 
 @dataclass
@@ -489,30 +493,33 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
     the iterate trace, and the termination reason ("converged" or
     "max_iter").  Raises SolverError if iterates become non-finite.
     """
-    rule = config.rule
+    rule, schedule, alpha = config.rule, config.schedule, config.alpha
+    tol, max_iter, record_every = config.tol, config.max_iter, config.record_every
     rho = resolve_rho(problem, config)
     scaled, unscale = scale_problem(problem, rho)
     memo, y = scaled.memo, scaled.y  # a fresh memo per solve
-    rule_a, lam_scale = stepsize_transform(rule, config.alpha)
+    rule_a, lam_scale = stepsize_transform(rule, alpha)
     pen_spec = pen.PenaltySpec(rule=rule, augmentation=config.augmentation)
 
     trace = IterateTrace(has_errors=problem.beta_star is not None)
-    schedule = config.schedule
     lam_t = rule.lam if schedule is None else schedule.value(0)  # None for ridge and lr
     override = None if lam_t is None else lam_scale * lam_t  # Theta's threshold
-    jumps = np.array(th.discontinuities(rule_a, override))
-    pending = []  # (iterate, 0.5*||r||^2) per recorded row still without its objective
-    block_rows = max(1, _BLOCK_ENTRIES // max(problem.p, 1))
+    jumps = th.discontinuities(rule_a, override)  # empty for continuous rules
+    pending = []  # (iterate, residual) per recorded row still without its objective
+    block_rows = max(1, _BLOCK_ENTRIES // max(problem.p + problem.n, 1))
     reason = "max_iter"
 
     def flush():
         # the pending rows' objectives: one penalty evaluation on the stacked
         # iterates, at the threshold they were recorded under (row sums of a
-        # C-contiguous block equal each row's own sum bit for bit)
+        # C-contiguous block equal each row's own sum bit for bit), and one
+        # stacked 0.5*r @ r (each row's own dot)
         if pending:
             block = np.abs(np.array([b for b, _ in pending]))
             pens = pen._penalty_z(pen_spec, block, th.rule_lambda(rule, lam_t)).sum(axis=1)
-            trace.objective.extend(float(q + s) for (_, q), s in zip(pending, pens))
+            R = np.array([r for _, r in pending])
+            halves = np.matmul((0.5 * R)[:, None, :], R[:, :, None])[:, 0, 0]
+            trace.objective.extend(float(q + s) for q, s in zip(halves, pens))
             pending.clear()
 
     # Overflow and invalid values are not warned about: the step raises
@@ -524,38 +531,40 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
             beta = rho * np.asarray(start, dtype=float)
             if beta.shape != (problem.p,):
                 raise ValueError(f"start has shape {beta.shape}, expected ({problem.p},)")
-        r = y - memo.times(beta)  # residual of the current iterate, one per iterate
-        for it in range(1, config.max_iter + 1):
+        nz = memo.support(beta)  # found once per iterate, for both products
+        r = y - memo.times(beta, nz)  # residual of the current iterate, one per iterate
+        for it in range(1, max_iter + 1):
             if schedule is not None:
                 lam_next = schedule.value(it - 1)
                 if lam_next != lam_t:
                     flush()
                     lam_t = lam_next
                     override = lam_scale * lam_t
-                    jumps = np.array(th.discontinuities(rule_a, override))
+                    jumps = th.discontinuities(rule_a, override)
 
-            z, beta_new = _step(beta, r, memo, config.alpha, rule_a, override, it)
-            if th.near_jump(z, jumps, 1e-12):
+            z, beta_new = _step(beta, r, nz, memo, alpha, rule_a, override, it)
+            if jumps and th.near_jump(z, jumps, 1e-12):
                 trace.flagged.append(it)
             fp_res = _sup_change(beta_new, beta, z, it)
             beta = beta_new
-            r = y - memo.times(beta)
-            done = fp_res <= config.tol or it == config.max_iter
+            nz = memo.support(beta)
+            r = y - memo.times(beta, nz)
+            done = fp_res <= tol or it == max_iter
 
-            if it % config.record_every == 0 or done:
+            if it % record_every == 0 or done:
                 errs = error_metrics(unscale(beta), problem, rho) if trace.has_errors else None
                 trace.record(it, fp_res, int(np.count_nonzero(beta)), errs)
-                pending.append((beta, 0.5 * r @ r))
+                pending.append((beta, r))
                 if len(pending) >= block_rows:
                     flush()
 
-            if fp_res <= config.tol:
+            if fp_res <= tol:
                 reason = "converged"
                 break
         flush()
 
         # fixed-point residual at the final iterate, at the final threshold
-        z, theta_v = _step(beta, r, memo, config.alpha, rule_a, override, it)
+        z, theta_v = _step(beta, r, nz, memo, alpha, rule_a, override, it)
         theta_res = _sup_change(theta_v, beta, z, it)
     return SolveResult(
         beta=unscale(beta),

@@ -314,9 +314,15 @@ def discontinuities(rule: ThresholdRule, lam_override: float | None = None) -> t
 
 
 def near_jump(z: np.ndarray, jumps, tol: float) -> bool:
-    """Whether some magnitude z_j = |t_j| lies within `tol` of a jump location."""
-    jumps = np.asarray(jumps)
-    return bool(jumps.size and z.size and np.abs(z[:, None] - jumps).min() < tol)
+    """Whether some magnitude z_j = |t_j| lies within `tol` of a jump location.
+
+    One pass over z per jump; `jumps` is any sequence of finite locations.
+    """
+    if z.size:
+        for j in jumps:
+            if np.minimum.reduce(np.abs(z - j)) < tol:
+                return True
+    return False
 
 
 def integrand_pieces(rule: ThresholdRule, lam_override: float | None = None):

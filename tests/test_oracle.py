@@ -1,10 +1,12 @@
 """Oracles: exhaustive l0 search, coordinate descent, stationarity probes."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from tisp import oracle
 from tisp.oracle import (
     ASSUMPTIONS,
     RegularityProbeConfig,
@@ -78,6 +80,103 @@ def test_l0_validation():
         l0_global_min(prob, -0.1, rho=1.0)
     with pytest.raises(ValueError):
         l0_global_min(prob, 0.5, rho=0.0)
+
+
+def loop_l0_global_min(problem, lam, rho):
+    # the reference: one pseudoinverse per support, in size-then-lexicographic
+    # order, keeping the first least objective; then l0_global_min's gap repair
+    Xs, y, p = problem.X / rho, problem.y, problem.p
+    half_lam2 = 0.5 * lam * lam
+
+    def objective(b):
+        r = y - Xs @ b
+        return float(0.5 * r @ r + half_lam2 * np.count_nonzero(b))
+
+    best_beta = np.zeros(p)
+    best_obj, best_support = objective(best_beta), ()
+    for size in range(1, p + 1):
+        for support in itertools.combinations(range(p), size):
+            b = np.zeros(p)
+            b[list(support)] = np.linalg.pinv(Xs[:, support], rcond=1e-10) @ y
+            obj = objective(b)
+            if obj < best_obj or (obj == best_obj and support < best_support):
+                best_obj, best_beta, best_support = obj, b, support
+    nz = best_beta[best_beta != 0]
+    min_mag = float(np.min(np.abs(nz))) if nz.size else math.inf
+    gap_ok = min_mag >= lam - 1e-10
+    if not gap_ok:
+        v = best_beta + Xs.T @ (y - Xs @ best_beta)
+        candidate = apply_vec(rule(f"hard(lambda={lam})"), v)
+        cand_obj = objective(candidate)
+        if cand_obj <= best_obj + 1e-12 * (1.0 + abs(best_obj)):
+            best_beta, best_obj = candidate, cand_obj
+            nz = best_beta[best_beta != 0]
+            min_mag = float(np.min(np.abs(nz))) if nz.size else math.inf
+            gap_ok = min_mag >= lam - 1e-10
+    return (best_beta, best_obj, tuple(int(j) for j in np.flatnonzero(best_beta)),
+            gap_ok, min_mag, best_beta / rho)
+
+
+def assert_same_as_loop(problem, lam, rho):
+    got = l0_global_min(problem, lam, rho)
+    beta, obj, support, gap_ok, min_mag, beta_original = loop_l0_global_min(problem, lam, rho)
+    assert np.array_equal(got.beta, beta)
+    assert got.objective == obj
+    assert got.support == support
+    assert got.gap_ok == gap_ok
+    assert got.min_magnitude == min_mag
+    assert np.array_equal(got.beta_original, beta_original)
+    return got
+
+
+def criterion6_instance(i):
+    rng = np.random.default_rng(6000 + i)
+    p = int(rng.integers(3, 11))
+    n = int(rng.integers(p, 2 * p + 6))
+    X = rng.standard_normal((n, p))
+    return Problem(X, 2.0 * rng.standard_normal(n)), 1.05 * spectral_norm(X)
+
+
+@pytest.mark.parametrize("block", [0, 1])
+def test_l0_stacked_solves_equal_the_per_support_loop(block):
+    # every matrix of a stack is solved as it would be alone: bit for bit the
+    # per-support loop, on 40 of criterion 6's instances
+    for i in range(block * 20, block * 20 + 20):
+        prob, rho = criterion6_instance(i)
+        assert_same_as_loop(prob, 0.5, rho)
+
+
+def test_l0_stacked_solves_on_degenerate_designs():
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((9, 6))
+    X[:, 4] = X[:, 1]  # a duplicated column: tied supports
+    X[:, 2] = 0.0  # a zero column: rank-deficient supports
+    y = 2.0 * rng.standard_normal(9)
+    for lam in (0.05, 0.5, 2.0):
+        assert_same_as_loop(Problem(X, y), lam, 1.0)
+    wide = rng.standard_normal((4, 9))  # n < p
+    assert_same_as_loop(Problem(wide, 2.0 * rng.standard_normal(4)), 0.3, 1.1 * spectral_norm(wide))
+    # y = 0: every support ties at objective 0 with b = 0, so the empty one wins
+    res = assert_same_as_loop(Problem(X, np.zeros(9)), 0.5, 1.0)
+    assert res.support == () and res.objective == 0.0
+
+
+def test_l0_result_does_not_depend_on_the_stack_cap(monkeypatch):
+    # blocks of 1, 2 or a few supports of one size give the same bits as one
+    # block per size
+    cases = [criterion6_instance(i) for i in (0, 3, 7)]
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((5, 8))
+    X[:, 6] = X[:, 0]
+    cases.append((Problem(X, rng.standard_normal(5)), 1.2 * spectral_norm(X)))
+    whole = [l0_global_min(prob, 0.5, rho) for prob, rho in cases]
+    for cap in (1, 7, 40):
+        monkeypatch.setattr(oracle, "_STACK_FLOATS", cap)
+        for (prob, rho), want in zip(cases, whole):
+            got = l0_global_min(prob, 0.5, rho)
+            assert np.array_equal(got.beta, want.beta) and got.objective == want.objective
+            assert got[2:4] == want[2:4] and got.min_magnitude == want.min_magnitude
+            assert np.array_equal(got.beta_original, want.beta_original)
 
 
 def test_l0_lower_bounds_hard_fixed_points():

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import tisp.penalty
 from tisp.penalty import (
     AUGMENTATIONS,
     PenaltySpec,
@@ -299,3 +300,32 @@ def test_gradient_over_the_support(p):
         else:
             assert np.array_equal(got, dense), (p, nnz)
             assert not memo._gram
+
+
+def test_support_memo_takes_the_support_once_and_reuses_its_pieces(monkeypatch):
+    # a caller finds b's support once and hands it to both products; while
+    # the support stays the same, its stacked pieces are reused, and a memo
+    # cleared in between gives the bits of a fresh one
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((7, 320))
+    y = rng.standard_normal(7)
+    memo = SupportMemo(X, y)
+    assert memo.support(np.ones(320)) is None and memo.support(np.zeros(31)) is None
+    b = np.zeros(320)
+    b[[3, 40, 41, 300]] = rng.standard_normal(4)
+    nz = memo.support(b)
+    assert nz.tolist() == [3, 40, 41, 300]
+    r = y - memo.times(b, nz)
+    assert np.array_equal(r, y - SupportMemo(X, y).times(b))
+    g = memo.gradient(b, r, nz)
+    assert np.array_equal(g, SupportMemo(X, y).gradient(b, r))
+    assert memo._rows(nz.copy(), gram=True) is memo._rows(nz, gram=True)
+    monkeypatch.setattr(tisp.penalty, "_MEMO_ENTRIES", 4 * (7 + 320))
+    other = np.zeros(320)
+    other[[5, 6, 7, 8]] = 1.0
+    memo.gradient(other, y - memo.times(other))  # clears the memo: b's columns leave
+    assert 3 not in memo._cols
+    for scale in (1.0, -2.5):
+        fresh = SupportMemo(X, y)
+        assert np.array_equal(memo.times(scale * b), fresh.times(scale * b))
+        assert np.array_equal(memo.gradient(scale * b, r), fresh.gradient(scale * b, r))

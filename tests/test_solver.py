@@ -478,7 +478,7 @@ def test_recorded_objective_and_certificate_at_the_carried_residual():
 
 def test_recorded_objective_across_block_flushes(monkeypatch):
     # solve sums the penalty of the recorded iterates per stacked block: at
-    # each threshold change of a schedule, every 2**16 entries (rows x p)
+    # each threshold change of a schedule, every 2**16 entries (rows x (p + n))
     # and at exit.  Every row, in every kind of block, must still carry the
     # objective `energy` gives at the replayed iterate, and its support.
     # Iterates with at most p/32 nonzeros are multiplied over their support

@@ -24,6 +24,7 @@ from tisp.thresholding import (
     estimate_contraction,
     integrand_pieces,
     inverse,
+    near_jump,
     parse_rule,
     rule_catalog,
     rule_lambda,
@@ -328,6 +329,32 @@ def test_discontinuities():
                 # Theta is zero at the jump and leaps to a fraction of it beyond
                 below, beyond = apply_vec(r, np.array([d, d * (1.0 + 1e-12)]), lo)
                 assert below == 0.0 and beyond >= 0.1 * d, (str(r), lo, d)
+
+
+def test_near_jump_equals_the_broadcast_test():
+    # one pass per jump answers what the (p x k) broadcast did, also at the
+    # edge of the tolerance and for empty inputs
+    def broadcast(z, jumps, tol):
+        jumps = np.asarray(jumps)
+        return bool(jumps.size and z.size and np.abs(z[:, None] - jumps).min() < tol)
+
+    tol = 1e-9
+    cases = []
+    for j in (1.0, 0.5, 1e-12):
+        at = [j, j - tol, j + tol]
+        edges = at + [np.nextafter(a, d) for a in at for d in (-np.inf, np.inf)]
+        cases += [(np.array([3.0, e, 0.0]), (j,)) for e in edges]
+        cases += [(np.array([e]), (j, 2.0)) for e in edges]  # two jumps
+        cases.append((np.array([j + 0.25, 2.0 + 1e-10]), (j, 2.0)))  # near the second
+    cases += [(np.array([]), (1.0,)), (np.array([1.0]), ()), (np.array([]), ()),
+              (np.array([0.0, 5.0]), (1.0, 2.0))]
+    hits = 0
+    for z, jumps in cases:
+        want = broadcast(z, jumps, tol)
+        assert near_jump(z, jumps, tol) is want, (z, jumps)
+        assert near_jump(z, np.array(jumps), tol) is want, (z, jumps)
+        hits += want
+    assert 0 < hits < len(cases)
 
 
 def test_default_contraction_grid():
