@@ -151,7 +151,7 @@ def cmd_solve(args) -> int:
         tol=args.tol,
         max_iter=args.max_iter,
     )
-    problem = Problem(X, y, beta_star=beta_star)
+    problem = Problem._own(X, y, beta_star=beta_star)  # the arrays just read: no copy
     result = solve(problem, config)
 
     if args.out:

@@ -20,9 +20,9 @@ from . import thresholding as th
 from .solver import Problem
 
 
-# floats of column submatrices `l0_global_min` stacks into one solve (16 MB);
-# the supports of one size are split into blocks of at most this many
-_STACK_FLOATS = 1 << 21
+# floats of column submatrices `l0_global_min` stacks into one solve (64 KB, a
+# block's transient memory about 6x that); the supports of one size are split
+_STACK_FLOATS = 1 << 13
 
 
 class L0Result(NamedTuple):

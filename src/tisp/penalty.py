@@ -16,6 +16,7 @@ Reference penalties: penalty_hard, penalty_l0, penalty_l1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,50 +193,53 @@ def energy(spec, problem, beta, rho: float, lam_override: float | None = None) -
     """
     spec = _as_spec(spec)
     beta = np.asarray(beta, dtype=float)
-    X, y = problem.X, problem.y
-    if beta.shape != (X.shape[1],):
-        raise ValueError(f"beta has shape {beta.shape}, expected ({X.shape[1]},)")
-    memo = getattr(problem, "memo", None) or SupportMemo(X)
-    return _objective(spec, memo.times(beta) - y, rho * beta, lam_override)
+    memo = getattr(problem, "memo", None) or SupportMemo(problem.X)
+    if beta.shape != memo.X.shape[1:]:  # memo.X: a scaled problem's X/rho may not exist
+        raise ValueError(f"beta has shape {beta.shape}, expected {memo.X.shape[1:]}")
+    return _objective(spec, memo.times(beta) - problem.y, rho * beta, lam_override)
 
 
-def _times(X, b) -> np.ndarray:
-    # X @ b, by the route a Problem's memo takes
-    return SupportMemo(X).times(b)
-
-
-# floats a support memo holds at most (16 MB) besides X'y
+# floats a support memo's store holds at most (16 MB) besides X'y
 _MEMO_ENTRIES = 1 << 21
 _SCAN = object()  # `SupportMemo.times`/`gradient`: find b's support yourself
 
 
 class SupportMemo:
-    """What the products of a design X with a sparse coefficient vector read.
+    """Products of X/rho with coefficient vectors, over their support.
 
-    Per column j that entered a support: a contiguous copy of x_j and, once
-    a gradient needed it, the Gram row X'x_j; and X'y.  A vector b with
-    p >= 32 entries, at most p/32 of them nonzero, whose pieces fit the memo,
-    is multiplied over its support S: X b = b_S x_S from contiguous rows, and
-    X'(y - X b) = X'y - b_S G_S, so a Gram row streams the design once when
-    its column enters, not once per iteration.  Other vectors take the dense
-    products.  The column gather costs what the dense product does near p/28
-    nonzeros (2000x5000 and 1000x2000, 2 BLAS threads).
+    A memo made without `store` is a design's store: per column j that
+    entered a support, a contiguous copy of x_j and, once a gradient needed
+    it, the Gram row G_j = X'x_j; and X'y.  Memos at any rho share it, as
+    they apply 1/rho to vectors.  A b with p >= 32 entries, at most p/32 of
+    them nonzero, whose pieces fit, is multiplied over its support S at
+    u = b/rho: (X/rho) b = u_S x_S, (X/rho)'(y - (X/rho) b) =
+    (X'y - u_S G_S)/rho.  Other vectors take dense products with `Xs` =
+    X/rho, built on first use.  The gather costs what the dense product does
+    near p/28 nonzeros (2000x5000 and 1000x2000, 2 BLAS threads).
 
     A pure memo: each piece is made by the same one-column product whatever
     else is held, and a product reads only its support's pieces, so which
-    columns are held never changes a bit of a result.  It holds at most
-    `_MEMO_ENTRIES` floats besides X'y and is cleared when a support's
-    missing pieces do not fit; the last support's stacked copies and Gram
-    rows are kept besides, and reused while the support stays the same.
+    columns are held never changes a bit of a result.  A store holds at
+    most `_MEMO_ENTRIES` floats besides X'y, its last stacks (reused while
+    the support stays) included, and is cleared when a support's missing
+    pieces do not fit.
     """
 
-    def __init__(self, X, y=None):
-        self.X, self.y = X, y
-        self._cols = {}  # j -> x_j, contiguous
-        self._gram = {}  # j -> X'x_j
-        self._held = 0  # floats in both tables
+    def __init__(self, X, y=None, rho=1.0, store=None):
+        self.X, self.y, self.rho = X, y, rho
+        self._store = store  # None: this memo is the store (a self-reference would be a cycle)
+        self._cols, self._gram, self._held = {}, {}, 0  # j -> x_j, contiguous; j -> X'x_j; their floats
         self._xty = None
-        self._last = {False: (None, None), True: (None, None)}  # gram -> (support bytes, rows)
+        self._last = {False: (None, None), True: (None, None)}  # gram -> (support bytes, stack)
+
+    @functools.cached_property
+    def Xs(self):
+        """X/rho for the dense products, read-only, built on first use."""
+        if self.rho == 1.0:
+            return self.X
+        Xs = self.X / self.rho
+        Xs.flags.writeable = False
+        return Xs
 
     def support(self, b):
         """b's nonzeros when the products with b go over them, else None.
@@ -253,7 +257,8 @@ class SupportMemo:
 
     def _rows(self, nz, gram=False):
         # the support's column copies (k x n), or its Gram rows (k x p), after
-        # filling the missing ones one column at a time
+        # filling the missing ones one column at a time; a stack is kept only
+        # while it fits, and the kept one gives way before the tables do
         key = nz.tobytes()
         last_key, last_rows = self._last[gram]
         if key == last_key:
@@ -262,7 +267,11 @@ class SupportMemo:
         js = nz.tolist()
         new_cols = [j for j in js if j not in self._cols]
         new_gram = [j for j in js if j not in self._gram] if gram else []
-        if self._held + n * len(new_cols) + p * len(new_gram) > _MEMO_ENTRIES:
+        grow, other = n * len(new_cols) + p * len(new_gram), self._last[not gram][1]
+        self._last[gram] = (None, None)
+        if other is not None and self._held + grow + other.size > _MEMO_ENTRIES:
+            self._last[not gram], other = (None, None), None
+        if self._held + grow > _MEMO_ENTRIES:
             self._cols, self._gram, self._held = {}, {}, 0
             new_cols, new_gram = js, (js if gram else [])
         for j in new_cols:
@@ -272,26 +281,28 @@ class SupportMemo:
         self._held += n * len(new_cols) + p * len(new_gram)
         table = self._gram if gram else self._cols
         rows = np.array([table[j] for j in js]).reshape(len(js), p if gram else n)
-        self._last[gram] = (key, rows)
+        if self._held + rows.size + (0 if other is None else other.size) <= _MEMO_ENTRIES:
+            self._last[gram] = (key, rows)
         return rows
 
     def times(self, b, nz=_SCAN) -> np.ndarray:
-        """X @ b; `nz` is `support(b)` when the caller holds it."""
+        """(X/rho) @ b; `nz` is `support(b)` when the caller holds it."""
         if nz is _SCAN:
             nz = self.support(b)
         if nz is None:
-            return self.X @ b
-        return b[nz] @ self._rows(nz)
+            return self.Xs @ b
+        return (b[nz] / self.rho) @ (self._store or self)._rows(nz)
 
     def gradient(self, b, r, nz=_SCAN) -> np.ndarray:
-        """X'r at the residual r = y - self.times(b); `nz` as in `times`."""
+        """(X/rho)'r at the residual r = y - self.times(b); `nz` as in `times`."""
         if nz is _SCAN:
             nz = self.support(b)
         if nz is None:
-            return self.X.T @ r
-        if self._xty is None:
-            self._xty = self.X.T @ self.y
-        return self._xty - b[nz] @ self._rows(nz, gram=True)
+            return self.Xs.T @ r
+        store = self._store or self
+        if store._xty is None:
+            store._xty = self.X.T @ self.y
+        return (store._xty - (b[nz] / self.rho) @ store._rows(nz, gram=True)) / self.rho
 
 
 def _objective(spec: PenaltySpec, resid, t, lam: float | None = None) -> float:

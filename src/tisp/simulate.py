@@ -193,7 +193,8 @@ def gen_design(spec: ExperimentSpec, seed: int, n: int | None = None,
     p = spec.p if p is None else p
     rng = _rng(seed, _STREAM_DESIGN)
     if spec.ensemble == "gaussian-iid":
-        return rng.standard_normal((n, p)) / math.sqrt(n)
+        X = rng.standard_normal((n, p))
+        return np.divide(X, math.sqrt(n), out=X)  # in place: one n x p array at a time
     if spec.ensemble == "gaussian-ar1":
         rc = spec.rho_corr
         Z = rng.standard_normal((n, p))
@@ -307,12 +308,12 @@ def fit_decay_rate(e_seq, plateau: float):
 
 
 def _instance(spec: ExperimentSpec, seed: int, lam: float, n=None, p=None, j_star=None) -> Problem:
-    """One seed's design, beta* and response as a Problem, which then
-    computes its norm once for every rule solved on it."""
+    """One seed's design, beta* and response as a Problem holding them, not
+    copies; its norm and support memo then serve every rule solved on it."""
     X = gen_design(spec, seed, n=n, p=p)
     beta_star = gen_beta_star(spec, seed, p=p, j_star=j_star, lam=lam)
     y = gen_response(X, beta_star, spec.sigma, spec.noise_kind, seed)
-    return Problem(X, y, beta_star=beta_star, sigma=spec.sigma)
+    return Problem._own(X, y, beta_star=beta_star, sigma=spec.sigma)
 
 
 def _solve_rule(spec: ExperimentSpec, seed: int, problem: Problem, rule: th.ThresholdRule,

@@ -6,13 +6,16 @@ with Xs = X/rho.  With rho >= ||X||_2 the scaled design has unit spectral
 norm and every iteration decreases the objective
 
     f(beta) = 0.5*||X beta - y||^2 + sum_j P(rho*|beta_j|; lambda).
+
+A Problem holds one copy of X and one support memo (`penalty.SupportMemo`)
+shared by its solves, which apply 1/rho to vectors; X/rho is built only for
+a dense product.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-import io
 import math
 from dataclasses import dataclass, field, replace
 
@@ -34,8 +37,8 @@ class SolverError(RuntimeError):
 # problem container
 # ---------------------------------------------------------------------------
 
-def _frozen_array(x, dtype=float):
-    arr = np.array(x, dtype=dtype)
+def _frozen_array(x, copy=True):
+    arr = np.array(x, dtype=float) if copy else np.asarray(x, dtype=float)
     arr.flags.writeable = False
     return arr
 
@@ -49,9 +52,9 @@ class Problem:
     beta_star: np.ndarray | None = None
     sigma: float | None = None
 
-    def __post_init__(self):
-        X = _frozen_array(self.X)
-        y = _frozen_array(self.y)
+    def __post_init__(self, copy=True):
+        X = _frozen_array(self.X, copy)
+        y = _frozen_array(self.y, copy)
         if X.ndim != 2:
             raise ValueError("X must be a 2-d array")
         if y.shape != (X.shape[0],):
@@ -60,7 +63,7 @@ class Problem:
             raise ValueError("X and y must be finite")
         bs = self.beta_star
         if bs is not None:
-            bs = _frozen_array(bs)
+            bs = _frozen_array(bs, copy)
             if bs.shape != (X.shape[1],):
                 raise ValueError(f"beta_star has shape {bs.shape}, expected ({X.shape[1]},)")
             if not np.all(np.isfinite(bs)):
@@ -72,36 +75,40 @@ class Problem:
         object.__setattr__(self, "beta_star", bs)
 
     @classmethod
-    def _adopt(cls, X, y, beta_star, sigma) -> "Problem":
-        """A Problem holding checked arrays as they are: frozen in place,
-        neither copied nor scanned again (`Problem(...)` does both)."""
+    def _own(cls, X, y, beta_star=None, sigma=None) -> "Problem":
+        """`Problem(...)` on arrays nothing else holds: checked, frozen in place, not copied."""
         prob = object.__new__(cls)
-        for name, value in (("X", X), ("y", y), ("beta_star", beta_star), ("sigma", sigma)):
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            object.__setattr__(prob, name, value)
+        prob.__dict__.update(X=X, y=y, beta_star=beta_star, sigma=sigma)
+        prob.__post_init__(copy=False)
         return prob
 
     @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return self.y.shape[0]
 
     @property
     def p(self) -> int:
-        return self.X.shape[1]
+        return self.memo.X.shape[1]  # a scaled problem's X/rho may not exist
 
     @functools.cached_property
     def norm(self) -> float:
-        """||X||_2, computed on first use and then kept: X is a frozen copy,
-        so every solve on this problem shares one norm."""
+        """||X||_2, computed on first use and then kept: X is frozen, so
+        every solve on this problem shares one norm."""
         return spectral_norm(self.X)
 
     @functools.cached_property
     def memo(self) -> pen.SupportMemo:
-        """The support memo (`penalty.SupportMemo`) through which `solve`,
-        `tisp_step`, `error_metrics` and `energy` multiply X by coefficient
-        vectors; it never changes a result."""
+        """The design's one support memo (`penalty.SupportMemo`), through
+        which `solve`, `tisp_step`, `error_metrics` and `energy` multiply X,
+        and X/rho on a scaled problem; it never changes a result."""
         return pen.SupportMemo(self.X, self.y)
+
+
+class _ScaledProblem(Problem):
+    """`scale_problem`'s Problem(X/rho, y, rho*beta*, sigma): its memo is the
+    problem's at scale rho, and X/rho the memo's, built on first use."""
+
+    X = property(lambda self: self.memo.Xs)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +296,7 @@ def spectral_norm(X) -> float:
 def scale_problem(problem: Problem, rho: float):
     """Return (scaled problem with design X/rho, unscale map for coefficients).
 
+    It shares the problem's support memo and builds X/rho on first use.
     Refuses rho below ||X||_2: the scaled design must satisfy ||X/rho||_2 <= 1
     for the iteration's objective-descent guarantee.
     """
@@ -306,8 +314,11 @@ def scale_problem(problem: Problem, rho: float):
             bstar = rho * problem.beta_star
         if not np.all(np.isfinite(bstar)):
             raise ConfigurationError(f"rho*beta_star overflows at rho={rho:.6g}")
-    # the quotient is a fresh array, and finite: |x_ij| <= ||X||_2 <= rho * (1 + 1e-9)
-    scaled = Problem._adopt(problem.X / rho, problem.y, bstar, problem.sigma)
+        bstar.flags.writeable = False
+    # X/rho is finite: |x_ij| <= ||X||_2 <= rho * (1 + 1e-9)
+    scaled = object.__new__(_ScaledProblem)
+    scaled.__dict__.update(y=problem.y, beta_star=bstar, sigma=problem.sigma,
+                           memo=pen.SupportMemo(problem.X, problem.y, rho, problem.memo))
 
     def unscale(beta_scaled):
         return np.asarray(beta_scaled, dtype=float) / rho
@@ -346,7 +357,7 @@ def _step(beta, r, nz, memo, alpha, rule_a, lam, it=1):
     SolverError when v is not finite (`it` numbers the iteration); the check
     must stay on v, because `hard` maps a NaN to 0.  Callers check Theta(v)
     themselves."""
-    g = memo.gradient(beta, r, nz)
+    g = memo.Xs.T @ r if nz is None else memo.gradient(beta, r, nz)  # dense: one call fewer
     v = beta + (g if alpha == 1.0 else alpha * g)  # 1.0 * g == g: skip the multiply
     z = np.abs(v)
     if z.size and not math.isfinite(np.maximum.reduce(z)):
@@ -447,11 +458,6 @@ class IterateTrace:
                 row += ["", "", ""]
             w.writerow(row)
 
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self._write(buf)
-        return buf.getvalue()
-
 
 # ---------------------------------------------------------------------------
 # main solve loop
@@ -497,7 +503,8 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
     tol, max_iter, record_every = config.tol, config.max_iter, config.record_every
     rho = resolve_rho(problem, config)
     scaled, unscale = scale_problem(problem, rho)
-    memo, y = scaled.memo, scaled.y  # a fresh memo per solve
+    memo, y = scaled.memo, scaled.y  # the problem's memo, at scale rho
+    support, times = memo.support, memo.times
     rule_a, lam_scale = stepsize_transform(rule, alpha)
     pen_spec = pen.PenaltySpec(rule=rule, augmentation=config.augmentation)
 
@@ -531,8 +538,8 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
             beta = rho * np.asarray(start, dtype=float)
             if beta.shape != (problem.p,):
                 raise ValueError(f"start has shape {beta.shape}, expected ({problem.p},)")
-        nz = memo.support(beta)  # found once per iterate, for both products
-        r = y - memo.times(beta, nz)  # residual of the current iterate, one per iterate
+        nz = support(beta)  # found once per iterate, for both products
+        r = y - times(beta, nz)  # residual of the current iterate, one per iterate
         for it in range(1, max_iter + 1):
             if schedule is not None:
                 lam_next = schedule.value(it - 1)
@@ -547,8 +554,8 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
                 trace.flagged.append(it)
             fp_res = _sup_change(beta_new, beta, z, it)
             beta = beta_new
-            nz = memo.support(beta)
-            r = y - memo.times(beta, nz)
+            nz = support(beta)
+            r = y - (memo.Xs @ beta if nz is None else times(beta, nz))  # as in _step
             done = fp_res <= tol or it == max_iter
 
             if it % record_every == 0 or done:

@@ -10,7 +10,6 @@ from tisp.penalty import (
     AUGMENTATIONS,
     PenaltySpec,
     SupportMemo,
-    _times,
     energy,
     penalty_hard,
     penalty_l0,
@@ -268,7 +267,7 @@ def test_times_over_the_support(monkeypatch, p):
     for nnz in sorted({0, p // 32, p // 32 + 1, p}):
         b = np.zeros(p)
         b[rng.choice(p, nnz, replace=False)] = rng.standard_normal(nnz) * 10.0 ** rng.integers(-3, 4, nnz)
-        got, want = _times(X, b), X @ b
+        got, want = SupportMemo(X).times(b), X @ b
         over_support = p >= 32 and 32 * nnz <= p
         if over_support:
             assert np.all(np.abs(got - want) <= 1e-14 * (np.abs(X) @ np.abs(b))), (p, nnz)
@@ -276,7 +275,7 @@ def test_times_over_the_support(monkeypatch, p):
             assert np.array_equal(got, want), (p, nnz)
         if nnz < p:  # NaN in the zero coefficients' columns shows which product was formed
             probe = np.where(b == 0.0, np.nan, X)
-            assert np.isfinite(_times(probe, b)).all() == over_support, (p, nnz)
+            assert np.isfinite(SupportMemo(probe).times(b)).all() == over_support, (p, nnz)
     assert bool(scans) == (p >= 32)
 
 
@@ -329,3 +328,30 @@ def test_support_memo_takes_the_support_once_and_reuses_its_pieces(monkeypatch):
         fresh = SupportMemo(X, y)
         assert np.array_equal(memo.times(scale * b), fresh.times(scale * b))
         assert np.array_equal(memo.gradient(scale * b, r), fresh.gradient(scale * b, r))
+
+
+def test_support_memo_store_holds_its_stacks_within_the_bound(monkeypatch):
+    # the tables and the kept stacks of the last supports together stay
+    # within _MEMO_ENTRIES, whichever memo on the store (any rho) asks
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((7, 320))
+    y = rng.standard_normal(7)
+    for cap in (500, 2000, 8000):
+        monkeypatch.setattr(tisp.penalty, "_MEMO_ENTRIES", cap)
+        store = SupportMemo(X, y)
+        memos = [store, SupportMemo(X, y, 1.7, store)]
+        kept = 0
+        for _ in range(1000):
+            b = np.zeros(320)
+            k = int(rng.integers(0, 11))
+            b[rng.choice(40 if rng.random() < 0.7 else 320, k, replace=False)] = rng.standard_normal(k)
+            memo = memos[int(rng.integers(2))]
+            nz = memo.support(b)
+            r = y - memo.times(b, nz)
+            if rng.random() < 0.7:
+                memo.gradient(b, r, nz)
+            stacks = [rows.size for _, rows in store._last.values() if rows is not None]
+            assert store._held == sum(a.size for t in (store._cols, store._gram) for a in t.values())
+            assert store._held + sum(stacks) <= cap
+            kept += bool(stacks)
+        assert kept > 100  # the stacks are kept while they fit

@@ -136,6 +136,28 @@ def test_gen_response_noise_kinds():
     assert np.array_equal(gen_response(X2, b2, 0.0, "gaussian", 5), X2 @ b2)
 
 
+def test_instance_problem_holds_the_generated_arrays_checked_and_read_only(monkeypatch):
+    # _instance's Problem takes the generated arrays without a copy, yet runs
+    # every check Problem(...) runs and freezes what it holds
+    spec = ExperimentSpec(ensemble="gaussian-iid", n=30, p=12, J_star=2, sigma=1.0)
+    lam = resolve_lambda(spec, spec.p)
+    made = []
+    monkeypatch.setattr(tisp.simulate, "gen_design", lambda *a, **k: made.append(gen_design(*a, **k)) or made[-1])
+    prob = tisp.simulate._instance(spec, 3, lam)
+    assert prob.X is made[0] and np.array_equal(prob.X, gen_design(spec, 3))
+    assert np.array_equal(prob.beta_star, gen_beta_star(spec, 3, lam=lam))
+    for arr in (prob.X, prob.y, prob.beta_star):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    monkeypatch.setattr(tisp.simulate, "gen_response", lambda *a: np.full(30, np.inf))
+    with pytest.raises(ValueError, match="finite"):
+        tisp.simulate._instance(spec, 3, lam)
+    monkeypatch.setattr(tisp.simulate, "gen_design", lambda *a, **k: np.full((30, 12), np.nan))
+    with pytest.raises(ValueError, match="finite"):
+        tisp.simulate._instance(spec, 3, lam)
+
+
 # ---------------------------------------------------------------------------
 # error metrics
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Solver: scaling, fixed points, descent, stepsizes, schedules, traces."""
 
 import dataclasses
+import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -42,6 +44,12 @@ def random_problem(seed, n=12, p=30, y_scale=4.0):
     X = rng.standard_normal((n, p)) / math.sqrt(n)
     y = y_scale * rng.standard_normal(n)
     return Problem(X, y)
+
+
+def csv_text(trace):
+    buf = io.StringIO()
+    trace.write_csv(buf)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +250,14 @@ def test_tisp_step_is_hard_thresholded_gradient():
 
 def test_support_memo_is_transparent_to_tisp_step():
     # a scaled problem whose memo has held other supports, and has been
-    # cleared at its cap, steps to the same bits as a fresh one
+    # cleared at its cap, steps to the same bits as a fresh one (the scaled
+    # problems of one Problem share its memo: a fresh one needs a new Problem)
     n, p = 10, 3000
     prob = random_problem(8, n=n, p=p, y_scale=10.0)
     rho = 1.01 * prob.norm
     rng = np.random.default_rng(8)
     worn, _ = scale_problem(prob, rho)
-    memo, cleared = worn.memo, 0
+    memo, cleared = prob.memo, 0
     for cols in np.array_split(rng.permutation(p), 33):  # 90-91 columns each
         other = np.zeros(p)
         other[cols] = rng.standard_normal(cols.size)
@@ -265,7 +274,7 @@ def test_support_memo_is_transparent_to_tisp_step():
         tisp_step(single, worn, rule("soft(lambda=0.5)"))
     assert 4 < len(set(nz) & set(memo._gram)) < 93
     for text in ["hard(lambda=0.5)", "soft(lambda=0.1)", "mcp(lambda=0.3,gamma=2)"]:
-        fresh, _ = scale_problem(prob, rho)
+        fresh, _ = scale_problem(Problem(prob.X, prob.y), rho)
         assert np.array_equal(tisp_step(beta, worn, rule(text)), tisp_step(beta, fresh, rule(text)))
 
 
@@ -284,8 +293,71 @@ def test_a_solve_does_not_depend_on_earlier_solves():
         after = solve(shared, cfgs[then])
         assert any(0 < 32 * s <= base.p for s in after.trace.support)
         assert np.array_equal(alone.beta, after.beta)
-        assert alone.trace.to_csv_string() == after.trace.to_csv_string()
+        assert csv_text(alone.trace) == csv_text(after.trace)
         assert (alone.theta_residual, alone.trace.flagged) == (after.theta_residual, after.trace.flagged)
+
+
+def test_solves_sharing_a_problem_equal_solves_on_fresh_problems():
+    # two rules at two explicit scales on one Problem, whose scaled problems
+    # all read its one memo, give the bits of the same solves on new Problems
+    base = random_problem(30000, n=10, p=3000, y_scale=10.0)  # <= 77 nonzeros
+    bstar = np.zeros(base.p)
+    bstar[:5] = 2.0
+    shared = Problem(base.X, base.y, beta_star=bstar)
+    for factor in (1.01, 1.2):
+        for text in ("hard(lambda=0.6)", "soft(lambda=0.6)"):
+            cfg = SolverConfig(rule=rule(text), rho=factor * base.norm, tol=1e-10, max_iter=70)
+            after = solve(shared, cfg)
+            alone = solve(Problem(base.X, base.y, beta_star=bstar), cfg)
+            assert any(0 < 32 * s <= base.p for s in after.trace.support)
+            assert np.array_equal(alone.beta, after.beta)
+            assert csv_text(alone.trace) == csv_text(after.trace)
+            assert (alone.theta_residual, alone.trace.flagged) == (after.theta_residual, after.trace.flagged)
+
+
+def test_a_second_rule_fills_no_gram_row_the_first_filled(monkeypatch):
+    # the Gram rows live in the Problem's memo, not in a solve's: a second
+    # rule solved on the same Problem reuses every row the first one filled
+    prob = random_problem(30000, n=10, p=3000, y_scale=10.0)
+    rows = tisp.penalty.SupportMemo._rows
+    calls = []  # (Gram rows filled, support) per gradient over a support
+
+    def counting(memo, nz, gram=False):
+        before = set(memo._gram)
+        out = rows(memo, nz, gram)
+        assert before <= set(memo._gram)  # never cleared here
+        if gram:
+            calls.append((set(memo._gram) - before, set(nz.tolist())))
+        return out
+
+    monkeypatch.setattr(tisp.penalty.SupportMemo, "_rows", counting)
+    solve(prob, SolverConfig(rule=rule("hard(lambda=0.6)"), tol=1e-10, max_iter=70))
+    first = set().union(*(filled for filled, _ in calls))
+    del calls[:]
+    solve(prob, SolverConfig(rule=rule("mcp(lambda=0.6,gamma=2.5)"), tol=1e-10, max_iter=70))
+    assert len(first) >= 10
+    assert first & set().union(*(support for _, support in calls))  # the rows are read again
+    assert not first & set().union(*(filled for filled, _ in calls))
+
+
+def test_a_solve_over_supports_never_builds_the_scaled_design():
+    # iterates with at most p/32 nonzeros are multiplied over their support
+    # at u = beta~/rho: no second n x p array is made
+    n, p = 200, 6400
+    rng = np.random.default_rng(31002)
+    X = rng.standard_normal((n, p)) / math.sqrt(n)
+    bstar = np.zeros(p)
+    bstar[rng.choice(p, 5, replace=False)] = 20.0
+    prob = Problem(X, X @ bstar + rng.standard_normal(n), beta_star=bstar)
+    prob.norm  # noqa: B018 - the power iteration's Gram matrix is not the solve's
+    tracemalloc.start()
+    try:
+        res = solve(prob, SolverConfig(rule=rule("hard(lambda=2.0)"), tol=1e-10, max_iter=300))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(0 < 32 * s <= p for s in res.trace.support)
+    assert peak < prob.X.nbytes / 2, peak
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +494,7 @@ def test_trace_csv_columns_and_error_fields():
     y = X @ bstar + 0.1 * rng.standard_normal(20)
     prob = Problem(X, y, beta_star=bstar)
     res = solve(prob, SolverConfig(rule=rule("soft(lambda=0.3)"), tol=1e-10))
-    text = res.trace.to_csv_string()
+    text = csv_text(res.trace)
     lines = text.splitlines()
     assert lines[0] == ",".join(TRACE_COLUMNS)
     first = lines[1].split(",")
@@ -433,7 +505,7 @@ def test_trace_csv_columns_and_error_fields():
 
     # without beta_star the error columns stay empty
     res2 = solve(Problem(X, y), SolverConfig(rule=rule("soft(lambda=0.3)"), tol=1e-10))
-    row = res2.trace.to_csv_string().splitlines()[1].split(",")
+    row = csv_text(res2.trace).splitlines()[1].split(",")
     assert row[4:] == ["", "", ""]
 
 
@@ -529,6 +601,8 @@ def test_recorded_objective_across_block_flushes(monkeypatch):
         fills.clear()
         prob = random_problem(n * p, n=n, p=p, y_scale=y_scale)
         for spec in specs:
+            if case in memo_entries:  # the solves of one Problem share its memo: start each empty
+                prob = Problem(prob.X, prob.y)
             r = spec.rule
             sched = schedule if r.kind in LAMBDA_KINDS else None
             cfg = SolverConfig(rule=r, schedule=sched, tol=1e-10, max_iter=max_iter,

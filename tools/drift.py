@@ -1,0 +1,184 @@
+"""How far the experiment outputs of one checkout drift from another's.
+
+    python3 tools/drift.py BASE_DIR CHANGE_DIR [--size full|tiny]
+
+Imports `tisp` from each checkout's `src/` in its own subprocess and runs
+there the decay-large spec (gaussian-iid 2000x5000, J*=20, soft and hard,
+design seed 0) and the acceptance decay and rate specs, every solve
+recorded.  `--size tiny` runs small stand-ins of the three, for a quick
+look.  For each output it prints the largest relative difference
+|a - b| / max(|a|, |b|) and the path where it occurs:
+
+- the written result rows (`write_results_csv`), per column
+- the written summary (`write_summary_json`), per key
+- per solve, the estimate and the recorded trace columns
+
+Then it says whether every solve's iteration count, support sizes and
+`flagged` iterations are identical.  The exit status is 1 when they are
+not, or when a non-numeric output differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import subprocess
+import sys
+
+# Runs in the checkout's own interpreter: writes one JSON document to stdout.
+CHILD = r"""
+import csv, io, json, sys
+from tisp import simulate, solver
+
+SIZE = sys.argv[1]
+FULL = SIZE == "full"
+solves = []
+solve = solver.solve
+
+
+def recording(problem, config, start=None):
+    res = solve(problem, config, start)
+    t = res.trace
+    solves.append({"iterations": res.iterations, "reason": res.reason, "support": t.support,
+                   "flagged": t.flagged, "beta": res.beta.tolist(), "objective": t.objective,
+                   "fp_residual": t.fp_residual, "pred_err": t.pred_err, "est_err": t.est_err,
+                   "weighted_err": t.weighted_err, "theta_residual": res.theta_residual})
+    return res
+
+
+simulate.solve = recording
+Spec = simulate.ExperimentSpec
+n, p, j = (2000, 5000, 20) if FULL else (100, 250, 5)
+specs = {
+    "decay-large": ("decay", Spec(ensemble="gaussian-iid", n=n, p=p, J_star=j, sigma=1.0,
+                                  seeds=(0,), rules=("soft", "hard"), lambda_policy="theory")),
+    "acceptance-decay": ("decay", Spec(
+        ensemble="gaussian-iid", n=400 if FULL else 200, p=200 if FULL else 100,
+        J_star=5 if FULL else 3, sigma=1.0, seeds=tuple(range(20 if FULL else 4)),
+        rules=("soft", "hard"), lambda_policy="theory", A=1.0)),
+    "acceptance-rate": ("rate", Spec(
+        ensemble="gaussian-iid", sigma=1.0, seeds=tuple(range(10 if FULL else 3)),
+        rules=("hard",), lambda_policy="theory", A=2.0,
+        p_grid=(100, 200, 400) if FULL else (50, 100, 200),
+        J_star_grid=(2, 5, 10) if FULL else (2, 4, 8), n_factor=20.0)),
+}
+out = {}
+for name, (kind, spec) in specs.items():
+    solves = []
+    run = simulate.run_decay_experiment if kind == "decay" else simulate.run_rate_experiment
+    rows, summary = run(spec, jobs=1)
+    csv_buf, json_buf = io.StringIO(), io.StringIO()
+    simulate.write_results_csv(rows, csv_buf)
+    simulate.write_summary_json(summary, json_buf)
+    header, *cells = csv.reader(io.StringIO(csv_buf.getvalue()))
+    out[name] = {"columns": header, "rows": cells, "summary": json.loads(json_buf.getvalue()),
+                 "solves": solves}
+json.dump(out, sys.stdout)
+"""
+
+TRACE_KEYS = ("beta", "objective", "fp_residual", "pred_err", "est_err", "weighted_err",
+              "theta_residual")
+SAME_KEYS = ("iterations", "reason", "support", "flagged")
+
+
+def run_checkout(checkout: str, size: str) -> dict:
+    """The outputs of one checkout, from a fresh interpreter importing its src/."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
+    proc = subprocess.run([sys.executable, "-c", CHILD, size], cwd=checkout, env=env,
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: exited {proc.returncode}\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
+def number(v):
+    """v as a float when it is one (a CSV cell holds text), else None."""
+    if isinstance(v, bool) or v is None:
+        return None
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        return None
+
+
+def rel_diff(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if math.isfinite(scale) else math.inf
+
+
+class Drift:
+    """The largest relative difference per output, and the values that differ
+    without being numbers."""
+
+    def __init__(self):
+        self.worst = {}  # output -> (relative difference, path)
+        self.mismatches = []  # paths
+
+    def compare(self, output: str, path: str, a, b) -> None:
+        if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+            for k in a:
+                self.compare(output, f"{path}.{k}", a[k], b[k])
+            return
+        if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+            for i, (x, y) in enumerate(zip(a, b)):
+                self.compare(output, f"{path}[{i}]", x, y)
+            return
+        x, y = number(a), number(b)
+        if x is None or y is None:
+            if a != b:
+                self.mismatches.append(path)
+            return
+        d = rel_diff(x, y)
+        if output not in self.worst or d > self.worst[output][0]:
+            self.worst[output] = (d, path)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("base")
+    ap.add_argument("change")
+    ap.add_argument("--size", choices=("full", "tiny"), default="full")
+    args = ap.parse_args(argv)
+    base, change = (run_checkout(c, args.size) for c in (args.base, args.change))
+
+    drift, same = Drift(), True
+    for name, got in change.items():
+        ref = base[name]
+        if got["columns"] != ref["columns"] or len(got["rows"]) != len(ref["rows"]):
+            drift.mismatches.append(f"{name}: result columns or row count")
+        else:
+            for i, (a, b) in enumerate(zip(ref["rows"], got["rows"])):
+                for col, x, y in zip(got["columns"], a, b):
+                    drift.compare(f"{name} rows.{col}", f"{name} rows[{i}].{col}", x, y)
+        for key in sorted(ref["summary"].keys() | got["summary"].keys()):
+            drift.compare(f"{name} summary.{key}", f"{name} summary.{key}",
+                          ref["summary"].get(key), got["summary"].get(key))
+        if len(got["solves"]) != len(ref["solves"]):
+            drift.mismatches.append(f"{name}: solve count")
+            same = False
+            continue
+        for i, (a, b) in enumerate(zip(ref["solves"], got["solves"])):
+            for key in SAME_KEYS:
+                if a[key] != b[key]:
+                    same = False
+                    print(f"{name} solve[{i}].{key} differs", file=sys.stderr)
+            for key in TRACE_KEYS:
+                drift.compare(f"{name} solve.{key}", f"{name} solve[{i}].{key}", a[key], b[key])
+
+    print(f"drift of {args.change} against {args.base} ({args.size} size)")
+    moved = {o: w for o, w in sorted(drift.worst.items()) if w[0] > 0.0}
+    for output, (d, path) in moved.items():
+        print(f"{output:40s} {d:.3g}  at {path}")
+    print(f"{len(drift.worst) - len(moved)} more numeric outputs identical")
+    for path in drift.mismatches:
+        print(f"non-numeric difference: {path}")
+    print("iteration counts, supports and flagged: " + ("identical" if same else "DIFFER"))
+    return 0 if same and not drift.mismatches else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
