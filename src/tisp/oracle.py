@@ -3,7 +3,9 @@
 Brute-force global minimizers of the L0-penalized objective, exact cyclic
 coordinate descent for the induced penalties, fixed-point certification of
 candidate solutions, sampled probes of the comparison regularity
-inequalities, and the minimax reference rate.
+inequalities, and the minimax reference rate.  `SUITES` holds the property
+suites that ``tisp verify`` prints: rule axioms, penalties, descent,
+Theorem 1, Lemmas 5 and 7, and regularity.
 """
 
 from __future__ import annotations
@@ -17,7 +19,15 @@ import numpy as np
 
 from . import penalty as pen
 from . import thresholding as th
-from .solver import Problem
+from .solver import (
+    Problem,
+    SolverConfig,
+    gaussian_starts,
+    scale_problem,
+    solve,
+    tisp_step,
+    triangle_inequality_check,
+)
 
 
 # floats of column submatrices `l0_global_min` stacks into one solve (64 KB, a
@@ -393,3 +403,245 @@ def minimax_reference(j: int, p: int, sigma: float) -> float:
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     return sigma * sigma * (j + j * math.log(math.e * p / j))
+
+
+# ---------------------------------------------------------------------------
+# property suites of `tisp verify`
+# ---------------------------------------------------------------------------
+
+def _random_instance(rng, n, p):
+    X = rng.standard_normal((n, p)) / math.sqrt(n)
+    return X, rng.standard_normal(n)
+
+
+def _suite_axioms(seed):
+    checks = []
+    t_grid = np.linspace(-10.0, 10.0, 2001)
+    for rule in th.rule_catalog():
+        report = th.verify_axioms(rule, t_grid)
+        detail = (
+            f"odd={report.oddness:.2e} mono={report.monotonicity:.2e} "
+            f"shrink={report.shrinkage:.2e} contraction_err="
+            f"{abs(report.contraction_estimated - report.contraction_stored):.2e}"
+        )
+        checks.append((f"axioms[{rule.kind}]", report.passed, detail))
+    return checks
+
+
+def _suite_penalty(seed):
+    checks = []
+    for rule in th.rule_catalog():
+        lam_eff = rule.effective_threshold() or 1.0
+        grid = np.linspace(-10.0 * lam_eff, 10.0 * lam_eff, 41)
+        spec = pen.PenaltySpec(rule=rule)
+        worst = 0.0
+        for t in grid:
+            closed = pen.penalty_theta(spec, t)
+            quad = pen.penalty_theta_quadrature(rule, t)
+            worst = max(worst, abs(closed - quad))
+        checks.append(
+            (f"penalty-quadrature[{rule.kind}]", worst <= 1e-8, f"max closed-vs-quadrature gap {worst:.2e}")
+        )
+
+    lam = 1.0
+    grid = np.linspace(-10.0, 10.0, 801)
+    worst_dom = -math.inf
+    for rule in th.rule_catalog(lam=lam):
+        if rule.kind not in th.LAMBDA_KINDS:
+            continue
+        spec = pen.PenaltySpec(rule=rule)
+        gap = pen.penalty_theta(spec, grid, lam_override=lam) - pen.penalty_hard(grid, lam)
+        worst_dom = max(worst_dom, float(np.max(-gap)))
+    checks.append(("penalty-dominance[P_theta>=P_H]", worst_dom <= 1e-10, f"worst violation {worst_dom:.2e}"))
+
+    ph = pen.penalty_hard(grid, lam)
+    cap = np.minimum(pen.penalty_l0(grid, lam), pen.penalty_l1(grid, lam)) - ph
+    worst_cap = float(np.max(-cap))
+    checks.append(("penalty-bound[P_H<=min(P0,P1)]", worst_cap <= 1e-10, f"worst violation {worst_cap:.2e}"))
+
+    vals = np.linspace(-5.0, 5.0, 81)
+    sub = pen.penalty_hard(vals[:, None], lam) + pen.penalty_hard(vals[None, :], lam) \
+        - pen.penalty_hard(vals[:, None] + vals[None, :], lam)
+    worst_sub = float(np.max(-sub))
+    checks.append(("penalty-subadditive[P_H]", worst_sub <= 1e-10, f"worst violation {worst_sub:.2e}"))
+    return checks
+
+
+def _suite_descent(seed):
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 10]))
+    checks = []
+    for rule in th.rule_catalog(lam=0.7, eta=0.5, gamma=2.5):
+        spec = pen.PenaltySpec(rule=rule)
+        worst_auto, worst_edge = -math.inf, -math.inf
+        for _ in range(10):
+            X, y = _random_instance(rng, 12, 30)
+            y = 4.0 * y  # strong response so iterates clear every rule's threshold
+            problem = Problem(X, y)
+            res = solve(problem, SolverConfig(rule=rule, max_iter=80, tol=1e-13))
+            objs = res.trace.objective
+            for a, b in zip(objs, objs[1:]):
+                worst_auto = max(worst_auto, (b - a) / (1.0 + abs(a)))
+
+            # edge of the exact descent region: ||X/rho||^2 = 2 - L, margin 0.1%
+            rho_edge = problem.norm * 1.001 / math.sqrt(2.0 - rule.contraction)
+            scaled = Problem(X / rho_edge, y)
+            beta = np.zeros(30)
+            f_prev = pen.energy(spec, scaled, beta, 1.0)
+            for _ in range(60):
+                beta = tisp_step(beta, scaled, rule)
+                f_cur = pen.energy(spec, scaled, beta, 1.0)
+                worst_edge = max(worst_edge, (f_cur - f_prev) / (1.0 + abs(f_prev)))
+                f_prev = f_cur
+        ok = worst_auto <= 1e-10 and worst_edge <= 1e-10
+        checks.append(
+            (f"descent[{rule.kind}]", ok, f"worst rise auto={worst_auto:.2e} edge={worst_edge:.2e}")
+        )
+    return checks
+
+
+def _suite_theorem1(seed):
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
+    checks = []
+    rules = [
+        th.ThresholdRule(kind="soft", lam=0.5),
+        th.ThresholdRule(kind="mcp", lam=0.5, gamma=2.5),
+        th.ThresholdRule(kind="scad", lam=0.5, a=3.7),
+    ]
+    for rule in rules:
+        worst = 0.0
+        flagged = 0
+        for _ in range(20):
+            X, y = _random_instance(rng, 15, 8)
+            problem = Problem(X, y)
+            rho = 1.05 * problem.norm
+            cd = coordinate_descent_local_min(problem, rule, rho=rho)
+            report = check_theta_equation(cd.beta / rho, problem, rule, rho=rho, tol=1e-6)
+            if report.continuity_flag:
+                flagged += 1
+                continue
+            worst = max(worst, report.residual)
+        checks.append(
+            (f"theorem1-cd[{rule.kind}]", worst <= 1e-6, f"max residual {worst:.2e}, {flagged} flagged skipped")
+        )
+
+    worst_solve = 0.0
+    for _ in range(10):
+        X, y = _random_instance(rng, 15, 8)
+        problem = Problem(X, y)
+        res = solve(problem, SolverConfig(rule=rules[0], tol=1e-10))
+        report = check_theta_equation(res.beta, problem, rules[0], rho=res.rho, tol=1e-9)
+        worst_solve = max(worst_solve, report.residual)
+    checks.append(("theorem1-solve[soft]", worst_solve <= 1e-9, f"max residual {worst_solve:.2e}"))
+    return checks
+
+
+def _suite_lemma5(seed):
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 12]))
+    lam = 0.6
+    gap_ok = True
+    dominated = True
+    worst_gap = math.inf
+    worst_dom = math.inf
+    for i in range(20):
+        p = 4 + (i % 5)
+        X, y = _random_instance(rng, 8, p)
+        problem = Problem(X, y)
+        rho = 1.05 * problem.norm
+        best = l0_global_min(problem, lam, rho)
+        gap_ok = gap_ok and best.gap_ok
+        if best.support:
+            worst_gap = min(worst_gap, best.min_magnitude - lam)
+
+        rule = th.ThresholdRule(kind="hard", lam=lam)
+        Xs = X / rho
+        starts = [np.zeros(p)] + gaussian_starts(problem, 20, seed=seed + i)
+        for s in starts:
+            res = solve(problem, SolverConfig(rule=rule, rho=rho, tol=1e-12, max_iter=2000), start=s)
+            b = rho * res.beta
+            r = y - Xs @ b
+            f0 = 0.5 * float(r @ r) + 0.5 * lam * lam * np.count_nonzero(b)
+            worst_dom = min(worst_dom, f0 - best.objective)
+            dominated = dominated and f0 >= best.objective - 1e-9
+    return [
+        ("lemma5-gap", gap_ok, f"min over instances of (|beta_j| - lambda) = {worst_gap:.2e}"),
+        ("lemma5-global-bound", dominated, f"min (f0(fixed point) - f0(oracle)) = {worst_dom:.2e}"),
+    ]
+
+
+def _suite_lemma7(seed):
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 13]))
+    checks = []
+    for rule in th.rule_catalog(lam=0.8, eta=0.4, gamma=3.0):
+        spec = pen.PenaltySpec(rule=rule)
+        worst = math.inf
+        for _ in range(5):
+            X, y = _random_instance(rng, 10, 20)
+            problem = Problem(X, y)
+            scaled, _ = scale_problem(problem, 1.02 * problem.norm)
+            for _ in range(5):
+                beta_t = rng.standard_normal(20)
+                beta_t1 = tisp_step(beta_t, scaled, rule)
+                probes = [beta_t1, np.zeros(20), rng.standard_normal(20), 2.0 * rng.standard_normal(20)]
+                for probe in probes:
+                    slack = triangle_inequality_check(beta_t, beta_t1, probe, scaled, spec)
+                    f_probe = pen.energy(spec, scaled, probe, 1.0)
+                    worst = min(worst, slack / (1.0 + abs(f_probe)))
+        checks.append((f"lemma7[{rule.kind}]", worst >= -1e-8, f"min normalized slack {worst:.2e}"))
+    return checks
+
+
+def _suite_regularity(seed):
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 14]))
+    checks = []
+    X, _ = _random_instance(rng, 10, 6)
+    beta_ref = np.zeros(6)
+    beta_ref[:2] = (1.5, -2.0)
+    problem = Problem(X, np.zeros(10), beta_star=None)
+    convex = [
+        th.ThresholdRule(kind="soft", lam=0.8),
+        th.ThresholdRule(kind="ridge", eta=0.5),
+        th.ThresholdRule(kind="elastic-net", lam=0.8, eta=0.5),
+        th.ThresholdRule(kind="berhu", lam=0.8, eta=0.5),
+    ]
+    worst = math.inf
+    for rule in convex:
+        lam = 0.0 if rule.kind == "ridge" else 0.8
+        config = RegularityProbeConfig(
+            assumption="R0", delta=1.0, vartheta=0.5, K=0.5, lam=lam,
+            reference_beta=tuple(beta_ref), num_samples=50, sample_radius=3.0,
+            seed=seed,
+        )
+        result = probe_regularity(config, problem, rule)
+        worst = min(worst, result.min_slack)
+    checks.append(
+        ("regularity-R0-convex", worst >= -1e-10, f"min slack over soft/ridge/en/berhu {worst:.2e}")
+    )
+
+    zero_problem = Problem(np.zeros((5, 4)), np.zeros(5))
+    config = RegularityProbeConfig(
+        assumption="R0", delta=1.0, vartheta=0.5, K=0.1, lam=0.8,
+        reference_beta=(0.0, 0.0, 0.0, 0.0), num_samples=20, sample_radius=50.0,
+        seed=seed,
+    )
+    result = probe_regularity(config, zero_problem, th.ThresholdRule(kind="hard", lam=0.8))
+    checks.append(
+        (
+            "regularity-R0-falsifier",
+            result.violated,
+            f"violation reported as a finding: min slack {result.min_slack:.2e} "
+            "(expected negative; violations are findings, not failures)",
+        )
+    )
+    return checks
+
+
+# name -> suite: seed -> [(check, passed, detail)], in `tisp verify`'s order
+SUITES = {
+    "axioms": _suite_axioms,
+    "penalty": _suite_penalty,
+    "descent": _suite_descent,
+    "theorem1": _suite_theorem1,
+    "lemma5": _suite_lemma5,
+    "lemma7": _suite_lemma7,
+    "regularity": _suite_regularity,
+}

@@ -9,14 +9,14 @@ numerically, as a check of the exact integration.
 The objective actually minimized by the fixed-point iteration may add a
 nonnegative term q that vanishes on the range of Theta; the `augmentation`
 field of `PenaltySpec` selects the classical choices for the hard-type rules
-(capped-l1 / l0 for hard, l0+l2 for hard-ridge).
+(capped-l1 / l0 for hard, l0+l2 for hard-ridge).  `energy` evaluates that
+objective on a `solver.Problem`, whose support memo takes the product with X.
 
 Reference penalties: penalty_hard, penalty_l0, penalty_l1.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,121 +188,14 @@ def penalty_theta_quadrature(rule: ThresholdRule, t: float, tol: float = 1e-10,
 def energy(spec, problem, beta, rho: float, lam_override: float | None = None) -> float:
     """Objective 0.5*||X beta - y||^2 + sum_j P(rho*|beta_j|).
 
-    `problem` is anything with X and y attributes; beta is in the
-    unscaled coordinate system.
+    `problem` is a `solver.Problem`, whose memo takes the product X beta;
+    beta is in the unscaled coordinate system.
     """
     spec = _as_spec(spec)
     beta = np.asarray(beta, dtype=float)
-    memo = getattr(problem, "memo", None) or SupportMemo(problem.X)
-    if beta.shape != memo.X.shape[1:]:  # memo.X: a scaled problem's X/rho may not exist
-        raise ValueError(f"beta has shape {beta.shape}, expected {memo.X.shape[1:]}")
-    return _objective(spec, memo.times(beta) - problem.y, rho * beta, lam_override)
-
-
-# floats a support memo's store holds at most (16 MB) besides X'y
-_MEMO_ENTRIES = 1 << 21
-_SCAN = object()  # `SupportMemo.times`/`gradient`: find b's support yourself
-
-
-class SupportMemo:
-    """Products of X/rho with coefficient vectors, over their support.
-
-    A memo made without `store` is a design's store: per column j that
-    entered a support, a contiguous copy of x_j and, once a gradient needed
-    it, the Gram row G_j = X'x_j; and X'y.  Memos at any rho share it, as
-    they apply 1/rho to vectors.  A b with p >= 32 entries, at most p/32 of
-    them nonzero, whose pieces fit, is multiplied over its support S at
-    u = b/rho: (X/rho) b = u_S x_S, (X/rho)'(y - (X/rho) b) =
-    (X'y - u_S G_S)/rho.  Other vectors take dense products with `Xs` =
-    X/rho, built on first use.  The gather costs what the dense product does
-    near p/28 nonzeros (2000x5000 and 1000x2000, 2 BLAS threads).
-
-    A pure memo: each piece is made by the same one-column product whatever
-    else is held, and a product reads only its support's pieces, so which
-    columns are held never changes a bit of a result.  A store holds at
-    most `_MEMO_ENTRIES` floats besides X'y, its last stacks (reused while
-    the support stays) included, and is cleared when a support's missing
-    pieces do not fit.
-    """
-
-    def __init__(self, X, y=None, rho=1.0, store=None):
-        self.X, self.y, self.rho = X, y, rho
-        self._store = store  # None: this memo is the store (a self-reference would be a cycle)
-        self._cols, self._gram, self._held = {}, {}, 0  # j -> x_j, contiguous; j -> X'x_j; their floats
-        self._xty = None
-        self._last = {False: (None, None), True: (None, None)}  # gram -> (support bytes, stack)
-
-    @functools.cached_property
-    def Xs(self):
-        """X/rho for the dense products, read-only, built on first use."""
-        if self.rho == 1.0:
-            return self.X
-        Xs = self.X / self.rho
-        Xs.flags.writeable = False
-        return Xs
-
-    def support(self, b):
-        """b's nonzeros when the products with b go over them, else None.
-
-        A caller that multiplies one b several times finds its support once
-        and passes it to `times` and `gradient`.  Below 32 entries b is
-        never scanned.
-        """
-        if b.size < 32:
-            return None
-        k = np.count_nonzero(b)
-        if 32 * k <= b.size and k * (self.X.shape[0] + b.size) <= _MEMO_ENTRIES:
-            return np.flatnonzero(b)
-        return None
-
-    def _rows(self, nz, gram=False):
-        # the support's column copies (k x n), or its Gram rows (k x p), after
-        # filling the missing ones one column at a time; a stack is kept only
-        # while it fits, and the kept one gives way before the tables do
-        key = nz.tobytes()
-        last_key, last_rows = self._last[gram]
-        if key == last_key:
-            return last_rows
-        n, p = self.X.shape
-        js = nz.tolist()
-        new_cols = [j for j in js if j not in self._cols]
-        new_gram = [j for j in js if j not in self._gram] if gram else []
-        grow, other = n * len(new_cols) + p * len(new_gram), self._last[not gram][1]
-        self._last[gram] = (None, None)
-        if other is not None and self._held + grow + other.size > _MEMO_ENTRIES:
-            self._last[not gram], other = (None, None), None
-        if self._held + grow > _MEMO_ENTRIES:
-            self._cols, self._gram, self._held = {}, {}, 0
-            new_cols, new_gram = js, (js if gram else [])
-        for j in new_cols:
-            self._cols[j] = self.X[:, j].copy()
-        for j in new_gram:
-            self._gram[j] = self.X.T @ self._cols[j]
-        self._held += n * len(new_cols) + p * len(new_gram)
-        table = self._gram if gram else self._cols
-        rows = np.array([table[j] for j in js]).reshape(len(js), p if gram else n)
-        if self._held + rows.size + (0 if other is None else other.size) <= _MEMO_ENTRIES:
-            self._last[gram] = (key, rows)
-        return rows
-
-    def times(self, b, nz=_SCAN) -> np.ndarray:
-        """(X/rho) @ b; `nz` is `support(b)` when the caller holds it."""
-        if nz is _SCAN:
-            nz = self.support(b)
-        if nz is None:
-            return self.Xs @ b
-        return (b[nz] / self.rho) @ (self._store or self)._rows(nz)
-
-    def gradient(self, b, r, nz=_SCAN) -> np.ndarray:
-        """(X/rho)'r at the residual r = y - self.times(b); `nz` as in `times`."""
-        if nz is _SCAN:
-            nz = self.support(b)
-        if nz is None:
-            return self.Xs.T @ r
-        store = self._store or self
-        if store._xty is None:
-            store._xty = self.X.T @ self.y
-        return (store._xty - (b[nz] / self.rho) @ store._rows(nz, gram=True)) / self.rho
+    if beta.shape != (problem.p,):
+        raise ValueError(f"beta has shape {beta.shape}, expected ({problem.p},)")
+    return _objective(spec, problem.memo.times(beta) - problem.y, rho * beta, lam_override)
 
 
 def _objective(spec: PenaltySpec, resid, t, lam: float | None = None) -> float:

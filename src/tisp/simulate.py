@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import thresholding as th
-from .solver import Problem, SolverConfig, error_metrics, parse_schedule, solve, theory_threshold
+from .solver import Problem, SolverConfig, _text_out, error_metrics, parse_schedule, solve, theory_threshold
 
 
 class SpecError(ValueError):
@@ -557,24 +557,14 @@ def _format_cell(v) -> str:
 
 def write_results_csv(rows, dest) -> None:
     """Rows are dicts keyed by RESULT_COLUMNS; dest is a path or file object."""
-    def _write(f):
+    with _text_out(dest) as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(RESULT_COLUMNS)
         for row in rows:
             r = row.row if isinstance(row, DecayResult) else row
             w.writerow([_format_cell(r[c]) for c in RESULT_COLUMNS])
 
-    if hasattr(dest, "write"):
-        _write(dest)
-    else:
-        with open(dest, "w", newline="") as f:
-            _write(f)
-
 
 def write_summary_json(summary: dict, dest) -> None:
-    text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w") as f:
-            f.write(text)
+    with _text_out(dest) as f:
+        f.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import tisp.cli
+import tisp.oracle
 from tisp.cli import main
 from tisp.solver import TRACE_COLUMNS
 
@@ -336,6 +337,30 @@ def test_verify_regularity_suite_reports_finding(capsys):
     assert code == 0
     assert "violation reported as a finding" in out
     assert all(line.startswith("PASS") for line in out.strip().splitlines())
+
+
+def test_verify_all_prints_each_check_in_table_order_and_fails_on_any(capsys, monkeypatch):
+    assert list(tisp.oracle.SUITES) == [
+        "axioms", "penalty", "descent", "theorem1", "lemma5", "lemma7", "regularity"]
+
+    def suite(*checks):
+        return lambda seed: [(f"{name}@{seed}", ok, "detail") for name, ok in checks]
+
+    monkeypatch.setattr(tisp.oracle, "SUITES", {
+        "first": suite(("a", True), ("b", True)),
+        "second": suite(("c", False)),
+        "third": suite(("d", True)),
+    })
+    code, out, _ = run(capsys, ["verify", "--suite", "all", "--seed", "7"])
+    assert code == 1
+    assert out.splitlines() == [
+        "PASS a@7: detail", "PASS b@7: detail", "FAIL c@7: detail", "PASS d@7: detail"]
+    code, out, _ = run(capsys, ["verify", "--suite", "first"])
+    assert code == 0
+    assert out.splitlines() == ["PASS a@0: detail", "PASS b@0: detail"]
+    code, out, _ = run(capsys, ["verify", "--suite", "second"])
+    assert code == 1
+    assert out.splitlines() == ["FAIL c@0: detail"]
 
 
 def test_verify_unknown_suite(capsys):

@@ -5,11 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-import tisp.penalty
+import tisp.solver
 from tisp.penalty import (
     AUGMENTATIONS,
     PenaltySpec,
-    SupportMemo,
     energy,
     penalty_hard,
     penalty_l0,
@@ -18,7 +17,7 @@ from tisp.penalty import (
     penalty_theta_quadrature,
     quadrature_kinks,
 )
-from tisp.solver import Problem
+from tisp.solver import Problem, SupportMemo
 from tisp.thresholding import LAMBDA_KINDS, parse_rule, rule_catalog
 
 CATALOG = rule_catalog()
@@ -319,7 +318,7 @@ def test_support_memo_takes_the_support_once_and_reuses_its_pieces(monkeypatch):
     g = memo.gradient(b, r, nz)
     assert np.array_equal(g, SupportMemo(X, y).gradient(b, r))
     assert memo._rows(nz.copy(), gram=True) is memo._rows(nz, gram=True)
-    monkeypatch.setattr(tisp.penalty, "_MEMO_ENTRIES", 4 * (7 + 320))
+    monkeypatch.setattr(tisp.solver, "_MEMO_ENTRIES", 4 * (7 + 320))
     other = np.zeros(320)
     other[[5, 6, 7, 8]] = 1.0
     memo.gradient(other, y - memo.times(other))  # clears the memo: b's columns leave
@@ -337,7 +336,7 @@ def test_support_memo_store_holds_its_stacks_within_the_bound(monkeypatch):
     X = rng.standard_normal((7, 320))
     y = rng.standard_normal(7)
     for cap in (500, 2000, 8000):
-        monkeypatch.setattr(tisp.penalty, "_MEMO_ENTRIES", cap)
+        monkeypatch.setattr(tisp.solver, "_MEMO_ENTRIES", cap)
         store = SupportMemo(X, y)
         memos = [store, SupportMemo(X, y, 1.7, store)]
         kept = 0

@@ -9,7 +9,6 @@ import warnings
 import numpy as np
 import pytest
 
-import tisp.penalty
 import tisp.solver
 from tisp.penalty import PenaltySpec, energy, penalty_theta
 from tisp.solver import (
@@ -319,7 +318,7 @@ def test_a_second_rule_fills_no_gram_row_the_first_filled(monkeypatch):
     # the Gram rows live in the Problem's memo, not in a solve's: a second
     # rule solved on the same Problem reuses every row the first one filled
     prob = random_problem(30000, n=10, p=3000, y_scale=10.0)
-    rows = tisp.penalty.SupportMemo._rows
+    rows = tisp.solver.SupportMemo._rows
     calls = []  # (Gram rows filled, support) per gradient over a support
 
     def counting(memo, nz, gram=False):
@@ -330,7 +329,7 @@ def test_a_second_rule_fills_no_gram_row_the_first_filled(monkeypatch):
             calls.append((set(memo._gram) - before, set(nz.tolist())))
         return out
 
-    monkeypatch.setattr(tisp.penalty.SupportMemo, "_rows", counting)
+    monkeypatch.setattr(tisp.solver.SupportMemo, "_rows", counting)
     solve(prob, SolverConfig(rule=rule("hard(lambda=0.6)"), tol=1e-10, max_iter=70))
     first = set().union(*(filled for filled, _ in calls))
     del calls[:]
@@ -582,7 +581,7 @@ def test_recorded_objective_across_block_flushes(monkeypatch):
     ]
     # the last case's memo fills in several steps and is cleared when full
     memo_entries = {cases[-1]: 64 * 3010}
-    rows = tisp.penalty.SupportMemo._rows
+    rows = tisp.solver.SupportMemo._rows
     fills = []  # (new Gram rows, held columns dropped) per product that grew the memo
 
     def counting(memo, nz, gram=False):
@@ -592,12 +591,12 @@ def test_recorded_objective_across_block_flushes(monkeypatch):
             fills.append((len(memo._gram) - grams, not held <= set(memo._cols)))
         return out
 
-    monkeypatch.setattr(tisp.penalty.SupportMemo, "_rows", counting)
+    monkeypatch.setattr(tisp.solver.SupportMemo, "_rows", counting)
     many_blocks = sparse_rows = 0
     for case in cases:
         n, p, y_scale, record_every, schedule, max_iter = case
-        monkeypatch.setattr(tisp.penalty, "_MEMO_ENTRIES",
-                            memo_entries.get(case, tisp.penalty._MEMO_ENTRIES))
+        monkeypatch.setattr(tisp.solver, "_MEMO_ENTRIES",
+                            memo_entries.get(case, tisp.solver._MEMO_ENTRIES))
         fills.clear()
         prob = random_problem(n * p, n=n, p=p, y_scale=y_scale)
         for spec in specs:

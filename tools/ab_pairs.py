@@ -6,11 +6,12 @@ Runs `python3 perfbench/run.py --trace 0` in BASE_DIR and in CHANGE_DIR,
 one after the other, `--pairs` times. Both runs of pair i use seed `--seed + i`, and the
 order alternates between pairs (base first in even pairs), so a drift of
 the host's speed hits both sides alike. For every end-to-end metric it
-prints each side's median and [q1, q3], and in how many pairs the change
-was better (the metric's direction comes from CHANGE_DIR's BENCHMARK.json).
-It also prints the failed share of operations and whether every run
-reported `correct: true`. `--out FILE` writes the raw per-run results as
-JSON. The exit status is 1 when a run fails or reports incorrect outputs.
+prints each side's median and [q1, q3], in how many pairs the change was
+better, and a verdict (see `verdict`); the metric's direction and bound come
+from CHANGE_DIR's BENCHMARK.json. It also prints the failed share of
+operations and whether every run reported `correct: true`. `--out FILE`
+writes the raw per-run results as JSON. The exit status is 1 when a run
+fails or reports incorrect outputs.
 """
 
 from __future__ import annotations
@@ -43,25 +44,49 @@ def quartiles(values: list) -> tuple:
     return med, q1, q3
 
 
-def directions(checkout: str) -> dict:
-    """End-to-end metric name -> "lower" or "higher", from BENCHMARK.json."""
+def end_to_end(checkout: str) -> dict:
+    """End-to-end metric name -> (better, bound), from BENCHMARK.json."""
     with open(os.path.join(checkout, "BENCHMARK.json")) as f:
-        return {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+        return {m["name"]: (m["better"], m["bound"]) for m in json.load(f)["end_to_end"]}
 
 
-def summarize(pairs: list, better: dict) -> list:
+def verdict(base: list, change: list, better: str, bound: float) -> str:
+    """One metric's verdict over paired runs (base[i] and change[i] ran as pair i).
+
+    `bound` is relative to the base median. In this order:
+    - "worse": the change's median is worse than the base's by more than the bound
+    - "better": the change won at least 9/10 of the pairs, and its median is
+      better than the base's by more than the base's IQR
+    - "unresolved": the base's IQR is wider than the bound, unless every
+      change run beat every base run
+    - "within bound": every other case
+    """
+    sign = 1.0 if better == "lower" else -1.0  # sign * (c - b) > 0: c is worse
+    (bm, bq1, bq3), (cm, _, _) = quartiles(base), quartiles(change)
+    wins = sum(sign * (c - b) < 0 for b, c in zip(base, change))
+    if sign * (cm - bm) > bound * abs(bm):
+        return "worse"
+    if 10 * wins >= 9 * len(base) and sign * (bm - cm) > bq3 - bq1:
+        return "better"
+    if bq3 - bq1 > bound * abs(bm) and not all(sign * (c - b) < 0 for c in change for b in base):
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(pairs: list, spec: dict) -> list:
     """One text line per metric, plus the failed share and correctness."""
     lines = []
-    for name, direction in better.items():
+    for name, (better, bound) in spec.items():
         base = [b["metrics"][name]["value"] for b, _ in pairs if name in b["metrics"]]
         change = [c["metrics"][name]["value"] for _, c in pairs if name in c["metrics"]]
         if not base or len(base) != len(change):
             continue
-        wins = sum((c < b) if direction == "lower" else (c > b) for b, c in zip(base, change))
+        wins = sum((c < b) if better == "lower" else (c > b) for b, c in zip(base, change))
         (bm, bq1, bq3), (cm, cq1, cq3) = quartiles(base), quartiles(change)
         lines.append(f"{name:14s} base {bm:.4g} [{bq1:.4g}, {bq3:.4g}]  change {cm:.4g} "
                      f"[{cq1:.4g}, {cq3:.4g}]  ({100.0 * (cm - bm) / bm:+.1f}%)  "
-                     f"change better {wins}/{len(base)}  |gap| {abs(cm - bm):.4g} vs base IQR {bq3 - bq1:.4g}")
+                     f"change better {wins}/{len(base)}  |gap| {abs(cm - bm):.4g} vs base IQR {bq3 - bq1:.4g}"
+                     f"  -> {verdict(base, change, better, bound)}")
     for side, idx in (("base", 0), ("change", 1)):
         runs = [pair[idx] for pair in pairs]
         failed = sum(r["failed"] for r in runs)
@@ -100,7 +125,7 @@ def main(argv=None) -> int:
             json.dump([{"base": b, "change": c} for b, c in pairs], f, indent=1)
     print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}..{args.seed + args.pairs - 1}, "
           f"--seconds {args.seconds:g}")
-    for line in summarize(pairs, directions(args.change)):
+    for line in summarize(pairs, end_to_end(args.change)):
         print(line)
     ok = all(r["correct"] and not r["failed"] for pair in pairs for r in pair)
     return 0 if ok else 1
