@@ -203,7 +203,7 @@ def gen_design(spec: ExperimentSpec, seed: int, n: int | None = None,
         innov = math.sqrt(1.0 - rc * rc)
         for j in range(1, p):
             X[:, j] = rc * X[:, j - 1] + innov * Z[:, j]
-        return X / math.sqrt(n)
+        return np.divide(X, math.sqrt(n), out=X)
     if spec.ensemble == "orthonormal":
         if n < p:
             raise SpecError("orthonormal ensemble requires n >= p")

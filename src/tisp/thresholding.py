@@ -216,66 +216,59 @@ def apply_vec(rule: ThresholdRule, t, lam_override: float | None = None) -> np.n
     return _theta(rule, t, np.abs(t), rule_lambda(rule, lam_override))
 
 
-# Per kind, not from integrand_pieces: a table lookup ran 2-4x slower per call (2-core VM).
 def _theta(rule: ThresholdRule, t: np.ndarray, z: np.ndarray, lam: float | None) -> np.ndarray:
     """Theta(t; lam) for a finite float array t with z = |t| and lam resolved:
     `apply_vec` without its checks, for the solver loop, which holds z anyway.
-    Returns a new array on every branch, never t itself or a view of it."""
-    kind = rule.kind
-    if kind == "hard":
-        return np.where(z > lam, t, 0.0)
-    if kind == "ridge":
-        return t / (1.0 + rule.eta)
-    if kind == "hard-ridge":
-        return np.where(z > lam, t / (1.0 + rule.eta), 0.0)
-    s = np.sign(t)
-    if kind == "soft":
-        return s * np.maximum(z - lam, 0.0)
-    if kind == "elastic-net":
-        return np.where(z > lam, s * (z - lam) / (1.0 + rule.eta), 0.0)
-    if kind == "berhu":
-        eta = rule.eta
-        out = np.zeros_like(t)
-        if eta == 0.0:
-            mid = z > lam
-            out[mid] = s[mid] * (z[mid] - lam)
-            return out
-        hi = lam + lam / eta
-        mid = (z > lam) & (z <= hi)
-        top = z > hi
-        out[mid] = s[mid] * (z[mid] - lam)
-        out[top] = t[top] / (1.0 + eta)
-        return out
-    if kind == "scad":
-        a = rule.a
-        out = np.zeros_like(t)
-        b1 = (z > lam) & (z <= 2.0 * lam)
-        b2 = (z > 2.0 * lam) & (z <= a * lam)
-        b3 = z > a * lam
-        out[b1] = s[b1] * (z[b1] - lam)
-        # middle branch lies in [0, z]; clip float dust at the seams
-        out[b2] = s[b2] * np.clip(((a - 1.0) * z[b2] - a * lam) / (a - 2.0), 0.0, z[b2])
-        out[b3] = t[b3]
-        return out
-    if kind == "mcp":
-        g = rule.gamma
-        out = np.zeros_like(t)
-        b1 = (z > lam) & (z < g * lam)
-        b2 = z >= g * lam
-        out[b1] = s[b1] * np.clip((z[b1] - lam) / (1.0 - 1.0 / g), 0.0, z[b1])
-        out[b2] = t[b2]
-        return out
-    if kind == "lr":
+    Returns a new array, never t itself or a view of it."""
+    if rule.kind == "lr":
         zeta, r = rule.zeta, rule.r
         if zeta == 0.0:
             return t.copy()
-        t0 = _lr_zero_boundary(zeta, r)
         out = np.zeros_like(t)
-        nz = z > t0
+        nz = z > _lr_zero_boundary(zeta, r)
         if np.any(nz):
-            out[nz] = s[nz] * _lr_root(z[nz], zeta, r)
+            out[nz] = np.sign(t[nz]) * _lr_root(z[nz], zeta, r)
         return out
-    raise AssertionError(kind)
+    global _LAST_PIECES
+    last_rule, last_lam, pieces = _LAST_PIECES
+    if last_rule is not rule or last_lam != lam:
+        pieces = _theta_pieces(rule, lam)
+        _LAST_PIECES = (rule, lam, pieces)
+    out = 0.0
+    for start, q, d, clip in pieces:
+        v = t - np.maximum(np.minimum(t, q), -q) if q else t
+        if d != 1.0:
+            v = v / d
+        if clip:
+            v = np.minimum(np.maximum(v, -z), z)
+        out = v if start is None else np.where(z > start, v, out)
+    return t.copy() if out is t else out
+
+
+# The pieces for the (rule, lam) `_theta` saw last: a solve passes one rule
+# object and one lambda for many iterations.  Keyed by identity: an lru_cache
+# hashes the rule per call, 0.35 us against a 26 us hard iteration (2-core VM).
+_LAST_PIECES = (None, None, ())
+
+
+def _theta_pieces(rule: ThresholdRule, lam: float | None) -> tuple:
+    """Theta's pieces in t, from `integrand_pieces`: per piece (lo, hi, m, q)
+    with m != -1, (start, q, 1 + m, m < 0), on which Theta(t) =
+    (t - clamp(t, -q, q)) / (1 + m) for |t| > start, clipped into [-|t|, |t|]
+    when m < 0.  The first holds from 0 (start None): the clamp zeroes it below
+    q.  A flat piece (m = -1) is a jump at |t| = q, where the next one starts;
+    else a piece of slope 0 starts at lo + q and any other at the previous
+    end, exactly the seams lambda, 2 lambda, a lambda, gamma lambda, lambda + lambda/eta."""
+    pieces, start, end = [], None, None
+    for lo, hi, m, q in integrand_pieces(rule, lam):
+        if m == -1.0:
+            start = q
+            continue
+        if start is None and end is not None:
+            start = lo + q if m == 0.0 else end
+        pieces.append((start, q, 1.0 + m, m < 0.0))
+        start, end = None, (1.0 + m) * hi + q
+    return tuple(pieces)
 
 
 def apply(rule: ThresholdRule, t: float, lam_override: float | None = None) -> float:
@@ -332,10 +325,10 @@ def integrand_pieces(rule: ThresholdRule, lam_override: float | None = None):
     of Theta^{-1} (`inverse`), the contraction constant L (minus the least
     slope), the effective threshold tau = Theta^{-1}(0), the jumps (flat
     pieces, slope -1) and the induced penalty (`penalty.penalty_theta`
-    integrates them exactly).  Adding a piecewise-linear rule means adding
-    its pieces here and its Theta to `_theta`.  lr is not piecewise linear
-    and raises, as does a template without lambda and without an override
-    (`rule_lambda`).
+    integrates them exactly) and Theta itself (`_theta`), so a new
+    piecewise-linear rule needs only its pieces here.  lr is not piecewise
+    linear and raises, as does a template without lambda and without an
+    override (`rule_lambda`).
     Zero-width pieces are dropped.
     """
     if rule.kind == "lr":

@@ -1,0 +1,30 @@
+"""tools/iter_pairs.py: the per-kind summary of interleaved bursts."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "iter_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("iter_pairs", _PATH)
+iter_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(iter_pairs)
+summarize = iter_pairs.summarize
+
+
+def test_medians_minimums_and_ratios_in_microseconds_per_iteration():
+    # 1000 iterations per burst: seconds * 1e3 is microseconds per iteration
+    base = [(1000, s) for s in (0.030, 0.020, 0.025, 0.040)]
+    change = [(1000, s) for s in (0.033, 0.021, 0.030, 0.036)]
+    s = summarize(base, change)
+    assert s["base"] == pytest.approx((27.5, 20.0))
+    assert s["change"] == pytest.approx((31.5, 21.0))
+    assert s["ratio"] == pytest.approx((31.5 / 27.5, 21.0 / 20.0))
+    # per-round ratios 1.1, 1.05, 1.2, 0.9
+    assert s["round_ratio"] == pytest.approx(1.075)
+    assert s["same_iterations"]
+
+
+def test_iteration_counts_must_agree_across_sides_and_rounds():
+    assert not summarize([(1000, 0.03)] * 3, [(1000, 0.03), (1001, 0.03), (1000, 0.03)])["same_iterations"]
+    assert not summarize([(999, 0.03)] * 3, [(1000, 0.03)] * 3)["same_iterations"]

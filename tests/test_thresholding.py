@@ -30,7 +30,9 @@ from tisp.thresholding import (
     rule_lambda,
     verify_axioms,
     _lr_jump,
+    _lr_root,
     _lr_zero_boundary,
+    _theta_pieces,
 )
 
 CATALOG = rule_catalog()
@@ -73,6 +75,87 @@ def knots(r, lam_override=None):
     if r.kind == "lr":
         return [_lr_jump(r.zeta, r.r)]
     return [lo for lo, _, _, _ in integrand_pieces(r, lam_override) if lo > 0.0]
+
+
+def theta_reference(rule, t, z, lam):
+    """Theta written out per kind: the reference `apply_vec` is compared with.
+    Same contract as `tisp.thresholding._theta`."""
+    kind = rule.kind
+    if kind == "hard":
+        return np.where(z > lam, t, 0.0)
+    if kind == "ridge":
+        return t / (1.0 + rule.eta)
+    if kind == "hard-ridge":
+        return np.where(z > lam, t / (1.0 + rule.eta), 0.0)
+    s = np.sign(t)
+    if kind == "soft":
+        return s * np.maximum(z - lam, 0.0)
+    if kind == "elastic-net":
+        return np.where(z > lam, s * (z - lam) / (1.0 + rule.eta), 0.0)
+    if kind == "berhu":
+        eta = rule.eta
+        out = np.zeros_like(t)
+        if eta == 0.0:
+            mid = z > lam
+            out[mid] = s[mid] * (z[mid] - lam)
+            return out
+        hi = lam + lam / eta
+        mid = (z > lam) & (z <= hi)
+        top = z > hi
+        out[mid] = s[mid] * (z[mid] - lam)
+        out[top] = t[top] / (1.0 + eta)
+        return out
+    if kind == "scad":
+        a = rule.a
+        out = np.zeros_like(t)
+        b1 = (z > lam) & (z <= 2.0 * lam)
+        b2 = (z > 2.0 * lam) & (z <= a * lam)
+        b3 = z > a * lam
+        out[b1] = s[b1] * (z[b1] - lam)
+        # middle branch lies in [0, z]; clip float dust at the seams
+        out[b2] = s[b2] * np.clip(((a - 1.0) * z[b2] - a * lam) / (a - 2.0), 0.0, z[b2])
+        out[b3] = t[b3]
+        return out
+    if kind == "mcp":
+        g = rule.gamma
+        out = np.zeros_like(t)
+        b1 = (z > lam) & (z < g * lam)
+        b2 = z >= g * lam
+        out[b1] = s[b1] * np.clip((z[b1] - lam) / (1.0 - 1.0 / g), 0.0, z[b1])
+        out[b2] = t[b2]
+        return out
+    if kind == "lr":
+        zeta, r = rule.zeta, rule.r
+        if zeta == 0.0:
+            return t.copy()
+        t0 = _lr_zero_boundary(zeta, r)
+        out = np.zeros_like(t)
+        nz = z > t0
+        if np.any(nz):
+            out[nz] = s[nz] * _lr_root(z[nz], zeta, r)
+        return out
+    raise AssertionError(kind)
+
+
+def seams(r, lam_override=None):
+    """|t| where Theta changes formula: each end of each piece, mapped into t
+    by the piece itself, and the jumps; for lr its zero boundary."""
+    if r.kind == "lr":
+        return [_lr_zero_boundary(r.zeta, r.r)]
+    ends = [(1.0 + m) * u + q for lo, hi, m, q in integrand_pieces(r, lam_override)
+            for u in (lo, hi) if math.isfinite(u)]
+    return ends + list(discontinuities(r, lam_override))
+
+
+def seam_grid(r, lam_override=None, seed=0):
+    """Both signs of: 0, every seam with its two float neighbours, and random
+    points up to three times the largest seam."""
+    at = np.array(seams(r, lam_override) + [0.0])
+    near = np.concatenate([at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf)])
+    near = near[near >= 0.0]
+    top = 3.0 * (at.max() or 1.0)
+    grid = np.concatenate([near, np.random.default_rng(seed).uniform(0.0, top, 200)])
+    return np.concatenate([grid, -grid])
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +205,80 @@ def test_hard_keeps_or_kills():
     t = np.array([-2.0, -1.0, -0.3, 0.0, 0.9999, 1.0, 1.0001, 7.0])
     out = apply_vec(r, t)
     assert np.array_equal(out, np.where(np.abs(t) > 1.0, t, 0.0))
+
+
+# Theta from the piece table against the per-kind reference
+BIT_EXACT = ("hard", "hard-ridge", "ridge", "elastic-net", "berhu", "lr")
+NEAR_LIMIT = [rule("scad(lambda=1,a=2.0001)"), rule("mcp(lambda=1,gamma=1.0001)")]
+
+
+def lambdas(r):
+    """`overrides` (off CATALOG and SWEEP, the rule's own threshold) plus the
+    extreme thresholds 0, 1e-300 and 1e300."""
+    if r.kind not in LAMBDA_KINDS:
+        return [None]
+    return (overrides(r) if r in OVERRIDE else [None]) + [0.0, 1e-300, 1e300]
+
+
+def test_theta_matches_the_reference():
+    for r in CATALOG + SWEEP + NEAR_LIMIT:
+        for lo in lambdas(r):
+            t = seam_grid(r, lo)
+            got = apply_vec(r, t, lo)
+            want = theta_reference(r, t, np.abs(t), rule_lambda(r, lo))
+            assert np.array_equal(got, want) or r.kind in ("scad", "mcp"), (str(r), lo)
+            if r.kind in BIT_EXACT:
+                # bits too, away from t = 0: hard at lambda = 0 and ridge at
+                # eta = 0 have the same single piece, and the reference maps
+                # -0.0 to +0.0 for the one and to -0.0 for the other
+                nz = t != 0.0
+                assert np.array_equal(got[nz].view(np.int64), want[nz].view(np.int64)), (str(r), lo)
+            elif r.kind in ("scad", "mcp"):
+                # 1 + m = 1 - 1/(a - 1) or 1 - 1/gamma loses digits as the knee
+                # nears its limit
+                tame = r.a >= 2.5 if r.kind == "scad" else r.gamma >= 1.5
+                scale = np.maximum(np.abs(got), np.abs(want))
+                tol = 8.0 * np.spacing(scale) if tame else 2e-12 * scale
+                assert np.all(np.abs(got - want) <= tol), (str(r), lo)
+
+
+def test_theta_pieces_start_on_the_reference_seams():
+    seams = {"hard": lambda r, lam: [lam], "hard-ridge": lambda r, lam: [lam],
+             "berhu": lambda r, lam: [lam + lam / r.eta] if r.eta else [],
+             "scad": lambda r, lam: [2.0 * lam, r.a * lam], "mcp": lambda r, lam: [r.gamma * lam]}
+    for r in CATALOG + SWEEP + NEAR_LIMIT:
+        for lo in lambdas(r):
+            if r.kind == "lr":
+                continue
+            lam = rule_lambda(r, lo)
+            want = [x for x in seams.get(r.kind, lambda r, lam: [])(r, lam) if 0.0 < x < math.inf]
+            assert [p[0] for p in _theta_pieces(r, lam) if p[0] is not None] == want, (str(r), lo)
+
+
+def test_theta_stays_between_zero_and_t_at_the_seams():
+    for r in NEAR_LIMIT:
+        for lo in lambdas(r):
+            t = seam_grid(r, lo)
+            mag = np.sign(t) * apply_vec(r, t, lo)
+            assert np.all(mag >= 0.0) and np.all(mag <= np.abs(t)), (str(r), lo)
+
+
+def test_zero_region_gives_positive_zero():
+    assert not np.signbit(apply_vec(rule("soft(lambda=1)"), [-0.5, 0.5])).any()
+    for r in CATALOG + SWEEP:
+        for lo in overrides(r):
+            tau = inverse(r, 0.0, lo)
+            t = np.linspace(-tau, tau, 101)
+            out = apply_vec(r, t[t != 0.0], lo)
+            assert np.all(out == 0.0) and not np.signbit(out).any(), (str(r), lo)
+
+
+def test_identity_rules_return_a_new_array():
+    t = np.array([-2.0, -0.5, 0.0, 1e-300, 3.0])
+    for text in ("soft(lambda=0)", "hard(lambda=0)", "scad(lambda=0)", "mcp(lambda=0)",
+                 "elastic-net(lambda=0,eta=0)", "ridge(eta=0)", "lr(r=0.5,zeta=0)"):
+        out = apply_vec(rule(text), t)
+        assert np.array_equal(out, t) and not np.shares_memory(out, t), text
 
 
 def test_lr_zero_boundary_formula():

@@ -4,9 +4,10 @@
 
 Imports `tisp` from each checkout's `src/` in its own subprocess and runs
 there the decay-large spec (gaussian-iid 2000x5000, J*=20, soft and hard,
-design seed 0) and the acceptance decay and rate specs, every solve
-recorded.  `--size tiny` runs small stand-ins of the three, for a quick
-look.  For each output it prints the largest relative difference
+design seed 0), the acceptance decay and rate specs and a small all-kinds
+decay spec (gaussian-iid 100x60, J*=4, seeds 0-2, one rule of each of the
+nine kinds), every solve recorded.  `--size tiny` runs small stand-ins of
+the first three, for a quick look.  For each output it prints the largest relative difference
 |a - b| / max(|a|, |b|) and the path where it occurs:
 
 - the written result rows (`write_results_csv`), per column
@@ -63,6 +64,11 @@ specs = {
         rules=("hard",), lambda_policy="theory", A=2.0,
         p_grid=(100, 200, 400) if FULL else (50, 100, 200),
         J_star_grid=(2, 5, 10) if FULL else (2, 4, 8), n_factor=20.0)),
+    "all-kinds": ("decay", Spec(
+        ensemble="gaussian-iid", n=100, p=60, J_star=4, sigma=1.0, seeds=(0, 1, 2),
+        rules=("soft", "hard", "ridge(eta=0.5)", "elastic-net(eta=0.5)", "berhu(eta=0.5)",
+               "hard-ridge(eta=0.5)", "scad(a=3.7)", "mcp(gamma=2)", "lr(r=0.5,zeta=1)"),
+        lambda_policy="theory")),
 }
 out = {}
 for name, (kind, spec) in specs.items():
