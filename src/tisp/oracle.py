@@ -5,7 +5,9 @@ coordinate descent for the induced penalties, fixed-point certification of
 candidate solutions, sampled probes of the comparison regularity
 inequalities, and the minimax reference rate.  `SUITES` holds the property
 suites that ``tisp verify`` prints: rule axioms, penalties, descent,
-Theorem 1, Lemmas 5 and 7, and regularity.
+Theorem 1, Lemmas 5 and 7, and regularity.  The oracles read X/rho from the
+solver's view `_scaled` at any rho > 0, step with `tisp_step` and share one
+L0 objective, `_l0_objectives`.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from . import thresholding as th
 from .solver import (
     Problem,
     SolverConfig,
+    _scaled,
     gaussian_starts,
-    scale_problem,
     solve,
     tisp_step,
     triangle_inequality_check,
@@ -51,7 +53,8 @@ def l0_global_min(problem: Problem, lam: float, rho: float) -> L0Result:
     squares on each via pseudoinverse with cutoff 1e-10: one stacked
     pseudoinverse per support size, in blocks of at most `_STACK_FLOATS`
     submatrix entries.  Ties go to the lexicographically least support.  The
-    returned ``beta`` lives in the scaled coordinates b = rho * beta_original.
+    returned ``beta`` lives in the scaled coordinates b = rho * beta_original,
+    at any rho > 0 (another raises `ConfigurationError`).
 
     Every nonzero of a true global minimizer has magnitude >= lam.  Rank
     deficiency can produce least-squares candidates that break this gap; in
@@ -64,21 +67,14 @@ def l0_global_min(problem: Problem, lam: float, rho: float) -> L0Result:
         raise ValueError(f"p={p} is too large for exhaustive support enumeration (max 14)")
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError("lam must be >= 0")
-    if not (math.isfinite(rho) and rho > 0):
-        raise ValueError("rho must be positive")
-    Xs, y = problem.X / rho, problem.y
-    half_lam2 = 0.5 * lam * lam
-
-    def objective(b):
-        r = y - Xs @ b
-        return float(0.5 * r @ r + half_lam2 * np.count_nonzero(b))
+    scaled = _scaled(problem, rho)
+    Xs, y = scaled.X, scaled.y
 
     # the least (objective, support) over all supports, empty one first; the
     # supports of one size are solved as stacks of column submatrices, whose
     # every matrix numpy solves as it would that matrix alone
-    best_beta = np.zeros(p)
-    best_obj = objective(best_beta)
-    best_support = ()
+    best_beta, best_support = np.zeros(p), ()
+    best_obj = float(_l0_objectives(Xs, y, lam, best_beta[None])[0])
     for size in range(1, p + 1):
         supports = combinations(range(p), size)
         per_block = max(1, _STACK_FLOATS // max(problem.n * size, 1))
@@ -87,39 +83,43 @@ def l0_global_min(problem: Problem, lam: float, rho: float) -> L0Result:
             coef = np.linalg.pinv(Xs.T[S].transpose(0, 2, 1), rcond=1e-10) @ y
             B = np.zeros((len(block), p))
             B[np.arange(len(block))[:, None], S] = coef
-            R = y - np.matmul(Xs, B[:, :, None])[:, :, 0]
-            objs = (np.matmul((0.5 * R)[:, None, :], R[:, :, None])[:, 0, 0]
-                    + half_lam2 * np.count_nonzero(B, axis=1))
+            objs = _l0_objectives(Xs, y, lam, B)
             low = objs.min(initial=np.inf, where=objs == objs)  # NaN never wins
             i = int(np.argmax(objs == low))  # first in the block: the least support
             obj, support = float(objs[i]), block[i]
             if obj < best_obj or (obj == best_obj and support < best_support):
                 best_obj, best_beta, best_support = obj, B[i].copy(), support
 
-    nz = best_beta[best_beta != 0]
-    min_mag = float(np.min(np.abs(nz))) if nz.size else math.inf
-    gap_ok = min_mag >= lam - 1e-10
-    if not gap_ok:
+    min_mag = _min_magnitude(best_beta)
+    if min_mag < lam - 1e-10:
         # degenerate support: re-evaluate through one hard-thresholding step
-        hard = th.ThresholdRule(kind="hard", lam=lam)
-        v = best_beta + Xs.T @ (y - Xs @ best_beta)
-        candidate = th.apply_vec(hard, v)
-        cand_obj = objective(candidate)
+        candidate = tisp_step(best_beta, scaled, th.ThresholdRule(kind="hard", lam=lam))
+        cand_obj = float(_l0_objectives(Xs, y, lam, candidate[None])[0])
         if cand_obj <= best_obj + 1e-12 * (1.0 + abs(best_obj)):
             best_beta, best_obj = candidate, cand_obj
-            nz = best_beta[best_beta != 0]
-            min_mag = float(np.min(np.abs(nz))) if nz.size else math.inf
-            gap_ok = min_mag >= lam - 1e-10
+            min_mag = _min_magnitude(best_beta)
 
     support = tuple(int(j) for j in np.flatnonzero(best_beta))
     return L0Result(
         beta=best_beta,
         objective=best_obj,
         support=support,
-        gap_ok=gap_ok,
+        gap_ok=min_mag >= lam - 1e-10,
         min_magnitude=min_mag,
         beta_original=best_beta / rho,
     )
+
+
+def _l0_objectives(Xs, y, lam, B) -> np.ndarray:
+    """0.5*||y - Xs b||^2 + (lam^2/2)*||b||_0 for each row b of B; each row
+    equals its own 1-D products bit for bit."""
+    R = y - np.matmul(Xs, B[:, :, None])[:, :, 0]
+    return (np.matmul((0.5 * R)[:, None, :], R[:, :, None])[:, 0, 0]
+            + 0.5 * lam * lam * np.count_nonzero(B, axis=1))
+
+
+def _min_magnitude(b) -> float:
+    return float(np.min(np.abs(b), initial=math.inf, where=b != 0))
 
 
 # ---------------------------------------------------------------------------
@@ -180,18 +180,16 @@ def coordinate_descent_local_min(problem: Problem, spec, rho: float = 1.0,
                                  tol: float = 1e-10) -> CDResult:
     """Cyclic coordinate minimization of the thresholding-penalized objective.
 
-    Works in the scaled coordinates b = rho * beta with design X/rho; each
-    coordinate update is an exact scalar minimization, so the output is a
-    coordinate-wise minimum up to the sweep tolerance.  Non-convergence
-    within max_sweeps returns the last iterate with converged=False.
+    Works in the scaled coordinates b = rho * beta with design X/rho, any
+    rho > 0 (another raises `ConfigurationError`); each coordinate update is
+    an exact scalar minimization, so the output is a coordinate-wise minimum
+    up to the sweep tolerance (past max_sweeps: the last one, converged=False).
     """
     spec = pen._as_spec(spec)
     if spec.augmentation != "none":
         raise ValueError("coordinate descent supports the induced penalty only")
     rule = spec.rule
-    if not (math.isfinite(rho) and rho > 0):
-        raise ValueError("rho must be positive")
-    Xs, y = problem.X / rho, problem.y
+    Xs, y = _scaled(problem, rho).X, problem.y
     p = problem.p
     b = np.zeros(p) if start is None else np.asarray(start, dtype=float).copy()
     if b.shape != (p,):
@@ -233,13 +231,12 @@ def check_theta_equation(beta, problem: Problem, rule: th.ThresholdRule,
                          rho: float = 1.0, tol: float = 1e-8) -> ThetaReport:
     """Sup-norm residual of b = Theta(b + Xs'(y - Xs b)) at b = rho * beta.
 
-    The continuity flag is raised when any component of the thresholding
+    Xs = X/rho, any rho > 0 (another raises `ConfigurationError`).  The
+    continuity flag is raised when any component of the thresholding
     argument sits within 1e-9 of a jump discontinuity of the rule; residuals
     at flagged points are unreliable certificates.
     """
-    if not (math.isfinite(rho) and rho > 0):
-        raise ValueError("rho must be positive")
-    Xs, y = problem.X / rho, problem.y
+    Xs, y = _scaled(problem, rho).X, problem.y
     b = rho * np.asarray(beta, dtype=float)
     if b.shape != (problem.p,):
         raise ValueError(f"beta has shape {b.shape}, expected ({problem.p},)")
@@ -409,9 +406,9 @@ def minimax_reference(j: int, p: int, sigma: float) -> float:
 # property suites of `tisp verify`
 # ---------------------------------------------------------------------------
 
-def _random_instance(rng, n, p):
+def _random_instance(rng, n, p, y_scale=1.0):
     X = rng.standard_normal((n, p)) / math.sqrt(n)
-    return X, rng.standard_normal(n)
+    return Problem._own(X, y_scale * rng.standard_normal(n))
 
 
 def _suite_axioms(seed):
@@ -474,9 +471,8 @@ def _suite_descent(seed):
         spec = pen.PenaltySpec(rule=rule)
         worst_auto, worst_edge = -math.inf, -math.inf
         for _ in range(10):
-            X, y = _random_instance(rng, 12, 30)
-            y = 4.0 * y  # strong response so iterates clear every rule's threshold
-            problem = Problem(X, y)
+            # strong response so iterates clear every rule's threshold
+            problem = _random_instance(rng, 12, 30, y_scale=4.0)
             res = solve(problem, SolverConfig(rule=rule, max_iter=80, tol=1e-13))
             objs = res.trace.objective
             for a, b in zip(objs, objs[1:]):
@@ -484,7 +480,7 @@ def _suite_descent(seed):
 
             # edge of the exact descent region: ||X/rho||^2 = 2 - L, margin 0.1%
             rho_edge = problem.norm * 1.001 / math.sqrt(2.0 - rule.contraction)
-            scaled = Problem(X / rho_edge, y)
+            scaled = _scaled(problem, rho_edge)
             beta = np.zeros(30)
             f_prev = pen.energy(spec, scaled, beta, 1.0)
             for _ in range(60):
@@ -511,8 +507,7 @@ def _suite_theorem1(seed):
         worst = 0.0
         flagged = 0
         for _ in range(20):
-            X, y = _random_instance(rng, 15, 8)
-            problem = Problem(X, y)
+            problem = _random_instance(rng, 15, 8)
             rho = 1.05 * problem.norm
             cd = coordinate_descent_local_min(problem, rule, rho=rho)
             report = check_theta_equation(cd.beta / rho, problem, rule, rho=rho, tol=1e-6)
@@ -526,8 +521,7 @@ def _suite_theorem1(seed):
 
     worst_solve = 0.0
     for _ in range(10):
-        X, y = _random_instance(rng, 15, 8)
-        problem = Problem(X, y)
+        problem = _random_instance(rng, 15, 8)
         res = solve(problem, SolverConfig(rule=rules[0], tol=1e-10))
         report = check_theta_equation(res.beta, problem, rules[0], rho=res.rho, tol=1e-9)
         worst_solve = max(worst_solve, report.residual)
@@ -544,24 +538,20 @@ def _suite_lemma5(seed):
     worst_dom = math.inf
     for i in range(20):
         p = 4 + (i % 5)
-        X, y = _random_instance(rng, 8, p)
-        problem = Problem(X, y)
+        problem = _random_instance(rng, 8, p)
         rho = 1.05 * problem.norm
         best = l0_global_min(problem, lam, rho)
         gap_ok = gap_ok and best.gap_ok
         if best.support:
             worst_gap = min(worst_gap, best.min_magnitude - lam)
 
-        rule = th.ThresholdRule(kind="hard", lam=lam)
-        Xs = X / rho
+        config = SolverConfig(rule=th.ThresholdRule(kind="hard", lam=lam), rho=rho,
+                              tol=1e-12, max_iter=2000)
         starts = [np.zeros(p)] + gaussian_starts(problem, 20, seed=seed + i)
-        for s in starts:
-            res = solve(problem, SolverConfig(rule=rule, rho=rho, tol=1e-12, max_iter=2000), start=s)
-            b = rho * res.beta
-            r = y - Xs @ b
-            f0 = 0.5 * float(r @ r) + 0.5 * lam * lam * np.count_nonzero(b)
-            worst_dom = min(worst_dom, f0 - best.objective)
-            dominated = dominated and f0 >= best.objective - 1e-9
+        B = np.array([rho * solve(problem, config, start=s).beta for s in starts])
+        f0 = _l0_objectives(_scaled(problem, rho).X, problem.y, lam, B)
+        worst_dom = min(worst_dom, float(np.min(f0 - best.objective)))
+        dominated = dominated and bool(np.all(f0 >= best.objective - 1e-9))
     return [
         ("lemma5-gap", gap_ok, f"min over instances of (|beta_j| - lambda) = {worst_gap:.2e}"),
         ("lemma5-global-bound", dominated, f"min (f0(fixed point) - f0(oracle)) = {worst_dom:.2e}"),
@@ -575,9 +565,8 @@ def _suite_lemma7(seed):
         spec = pen.PenaltySpec(rule=rule)
         worst = math.inf
         for _ in range(5):
-            X, y = _random_instance(rng, 10, 20)
-            problem = Problem(X, y)
-            scaled, _ = scale_problem(problem, 1.02 * problem.norm)
+            problem = _random_instance(rng, 10, 20)
+            scaled = _scaled(problem, 1.02 * problem.norm)
             for _ in range(5):
                 beta_t = rng.standard_normal(20)
                 beta_t1 = tisp_step(beta_t, scaled, rule)
@@ -593,10 +582,10 @@ def _suite_lemma7(seed):
 def _suite_regularity(seed):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 14]))
     checks = []
-    X, _ = _random_instance(rng, 10, 6)
+    X = _random_instance(rng, 10, 6).X
     beta_ref = np.zeros(6)
     beta_ref[:2] = (1.5, -2.0)
-    problem = Problem(X, np.zeros(10), beta_star=None)
+    problem = Problem(X, np.zeros(10))
     convex = [
         th.ThresholdRule(kind="soft", lam=0.8),
         th.ThresholdRule(kind="ridge", eta=0.5),

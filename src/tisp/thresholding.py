@@ -491,13 +491,9 @@ def parse_rule(text: str, require_lambda: bool = True) -> ThresholdRule:
     lam = params.pop("lambda", None)
     if lam is None and require_lambda and kind in LAMBDA_KINDS:
         raise RuleParseError(f"rule {kind!r} requires parameter 'lambda'")
-    defaults = {"a": 3.7, "gamma": 3.0}
-    for name in _PARAMS[kind]:
-        if name not in params:
-            if name in defaults:
-                params[name] = defaults[name]
-            else:
-                raise RuleParseError(f"rule {kind!r} requires parameter {name!r}")
+    for name, default in (("a", 3.7), ("gamma", 3.0)):  # scad's and mcp's knees
+        if name in _PARAMS[kind]:
+            params.setdefault(name, default)
     try:
         return ThresholdRule(kind=kind, lam=lam, **params)
     except ValueError as exc:

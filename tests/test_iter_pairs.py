@@ -1,6 +1,7 @@
 """tools/iter_pairs.py: the per-kind summary of interleaved bursts."""
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -28,3 +29,23 @@ def test_medians_minimums_and_ratios_in_microseconds_per_iteration():
 def test_iteration_counts_must_agree_across_sides_and_rounds():
     assert not summarize([(1000, 0.03)] * 3, [(1000, 0.03), (1001, 0.03), (1000, 0.03)])["same_iterations"]
     assert not summarize([(999, 0.03)] * 3, [(1000, 0.03)] * 3)["same_iterations"]
+
+
+def test_the_null_child_reads_its_own_per_round_ratio():
+    base = [(1000, s) for s in (0.030, 0.020, 0.025)]
+    change = [(1000, 0.033)] * 3
+    null = [(1000, s) for s in (0.030, 0.021, 0.0225)]  # per-round ratios 1.0, 1.05, 0.9
+    s = summarize(base, change, null)
+    assert s["null_round_ratio"] == pytest.approx(1.0)
+    assert s["round_ratio"] == pytest.approx(1.32)
+    assert s["same_iterations"]
+    assert summarize(base, change)["null_round_ratio"] is None
+    assert not summarize(base, change, [(999, 0.03)] * 3)["same_iterations"]
+
+
+def test_every_child_runs_equally_often_in_every_slot():
+    rounds = [iter_pairs.order(r) for r in range(iter_pairs.ROUNDS)]
+    assert all(sorted(o) == sorted(iter_pairs.SIDES) for o in rounds)
+    for slot in range(len(iter_pairs.SIDES)):
+        assert Counter(o[slot] for o in rounds) == {
+            side: iter_pairs.ROUNDS // len(iter_pairs.SIDES) for side in iter_pairs.SIDES}

@@ -18,7 +18,7 @@ from tisp.oracle import (
     regularity_slack,
 )
 from tisp.penalty import PenaltySpec, penalty_theta
-from tisp.solver import Problem, SolverConfig, solve, spectral_norm
+from tisp.solver import ConfigurationError, Problem, SolverConfig, solve, spectral_norm
 from tisp.thresholding import apply_vec, parse_rule, rule_catalog
 
 
@@ -80,6 +80,18 @@ def test_l0_validation():
         l0_global_min(prob, -0.1, rho=1.0)
     with pytest.raises(ValueError):
         l0_global_min(prob, 0.5, rho=0.0)
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf])
+def test_oracles_refuse_a_bad_rho_with_configuration_error(rho):
+    prob = Problem(np.eye(2), np.ones(2))
+    soft = rule("soft(lambda=0.5)")
+    with pytest.raises(ConfigurationError, match="rho must be positive and finite"):
+        l0_global_min(prob, 0.5, rho)
+    with pytest.raises(ConfigurationError, match="rho must be positive and finite"):
+        coordinate_descent_local_min(prob, soft, rho=rho)
+    with pytest.raises(ConfigurationError, match="rho must be positive and finite"):
+        check_theta_equation(np.zeros(2), prob, soft, rho=rho)
 
 
 def loop_l0_global_min(problem, lam, rho):

@@ -140,6 +140,18 @@ def test_scale_problem_guards_rho_at_the_norm():
     assert np.array_equal(scaled.X, prob.X / prob.norm)
 
 
+def test_scaled_view_takes_any_positive_rho_without_a_norm(norm_calls):
+    # the oracles' view of the problem at scale rho: no norm guard, so no norm
+    prob = random_problem(8, n=8, p=5)
+    scaled = tisp.solver._scaled(prob, 0.25)
+    assert norm_calls == []
+    assert np.array_equal(scaled.X, prob.X / 0.25)
+    assert scaled.y is prob.y
+    for rho in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="rho must be positive and finite"):
+            tisp.solver._scaled(prob, rho)
+
+
 # ---------------------------------------------------------------------------
 # problem container
 # ---------------------------------------------------------------------------

@@ -607,6 +607,10 @@ def test_parse_errors_name_the_offender():
         parse_rule("soft(lambda=abc)")
     with pytest.raises(RuleParseError):
         parse_rule("frobnicate(lambda=1)")
+    with pytest.raises(RuleParseError, match="'eta'"):
+        parse_rule("ridge")
+    with pytest.raises(RuleParseError, match="'zeta'"):
+        parse_rule("lr(r=0.5)")
 
 
 def test_catalog_covers_all_kinds():

@@ -6,17 +6,25 @@ Imports `tisp` from each checkout's `src/` in its own subprocess and runs
 there the decay-large spec (gaussian-iid 2000x5000, J*=20, soft and hard,
 design seed 0), the acceptance decay and rate specs and a small all-kinds
 decay spec (gaussian-iid 100x60, J*=4, seeds 0-2, one rule of each of the
-nine kinds), every solve recorded.  `--size tiny` runs small stand-ins of
-the first three, for a quick look.  For each output it prints the largest relative difference
+nine kinds), every solve recorded.  It also runs the oracles on the
+acceptance criteria's instances: `l0_global_min` at lambda 0.5 and
+rho = 1.05 ||X||_2 on criterion 6's (rng 6000 + i, 40 of them), and
+`coordinate_descent_local_min` with `check_theta_equation` for soft, mcp
+and scad on criterion 5's (rng 5000 + i, 20 of them).  `--size tiny` runs
+small stand-ins of the first three specs and 8 and 5 oracle instances, for
+a quick look.  For each output it prints the largest relative difference
 |a - b| / max(|a|, |b|) and the path where it occurs:
 
 - the written result rows (`write_results_csv`), per column
 - the written summary (`write_summary_json`), per key
 - per solve, the estimate and the recorded trace columns
+- per oracle call, its coefficients, objective, minimum magnitude or
+  certificate residual
 
 Then it says whether every solve's iteration count, support sizes and
-`flagged` iterations are identical.  The exit status is 1 when they are
-not, or when a non-numeric output differs.
+`flagged` iterations, and every oracle call's support, gap flag, sweep
+count, convergence and continuity flag, are identical.  The exit status is
+1 when they are not, or when a non-numeric output differs.
 """
 
 from __future__ import annotations
@@ -31,7 +39,8 @@ import sys
 # Runs in the checkout's own interpreter: writes one JSON document to stdout.
 CHILD = r"""
 import csv, io, json, sys
-from tisp import simulate, solver
+import numpy as np
+from tisp import oracle, penalty, simulate, solver, thresholding
 
 SIZE = sys.argv[1]
 FULL = SIZE == "full"
@@ -81,12 +90,38 @@ for name, (kind, spec) in specs.items():
     header, *cells = csv.reader(io.StringIO(csv_buf.getvalue()))
     out[name] = {"columns": header, "rows": cells, "summary": json.loads(json_buf.getvalue()),
                  "solves": solves}
+
+l0, cd = [], []
+for i in range(40 if FULL else 8):  # criterion 6's instances
+    rng = np.random.default_rng(6000 + i)
+    p = int(rng.integers(3, 11))
+    n = int(rng.integers(p, 2 * p + 6))
+    prob = solver.Problem(rng.standard_normal((n, p)), 2.0 * rng.standard_normal(n))
+    best = oracle.l0_global_min(prob, 0.5, 1.05 * prob.norm)
+    l0.append({"objective": best.objective, "support": best.support, "gap_ok": best.gap_ok,
+               "min_magnitude": best.min_magnitude, "beta": best.beta.tolist()})
+rules = [thresholding.parse_rule(t) for t in
+         ("soft(lambda=0.4)", "mcp(lambda=0.4,gamma=3)", "scad(lambda=0.4,a=3.7)")]
+for i in range(20 if FULL else 5):  # criterion 5's descent instances
+    rng = np.random.default_rng(5000 + i)
+    X = rng.standard_normal((20, 10))
+    k = int(rng.integers(1, 4))
+    bstar = np.zeros(10)
+    bstar[rng.choice(10, size=k, replace=False)] = 3.0 * rng.standard_normal(k)
+    prob = solver.Problem(X, X @ bstar + 0.3 * rng.standard_normal(20))
+    rho = 1.05 * prob.norm
+    for rule in rules:
+        res = oracle.coordinate_descent_local_min(prob, penalty.PenaltySpec(rule=rule), rho=rho)
+        rep = oracle.check_theta_equation(res.beta / rho, prob, rule, rho=rho, tol=1e-6)
+        cd.append({"beta": res.beta.tolist(), "objective": res.objective, "sweeps": res.sweeps,
+                   "converged": res.converged, "residual": rep.residual,
+                   "flag": rep.continuity_flag})
+out["oracles"] = {"l0": l0, "cd": cd}
 json.dump(out, sys.stdout)
 """
 
-TRACE_KEYS = ("beta", "objective", "fp_residual", "pred_err", "est_err", "weighted_err",
-              "theta_residual")
-SAME_KEYS = ("iterations", "reason", "support", "flagged")
+# record keys that must be equal; a record's other keys are numeric outputs
+SAME_KEYS = ("iterations", "reason", "support", "flagged", "gap_ok", "sweeps", "converged", "flag")
 
 
 def run_checkout(checkout: str, size: str) -> dict:
@@ -142,6 +177,23 @@ class Drift:
         if output not in self.worst or d > self.worst[output][0]:
             self.worst[output] = (d, path)
 
+    def records(self, name: str, ref: list, got: list) -> bool:
+        """Compare paired records, one per solve or oracle call: their
+        `SAME_KEYS` must be equal (False when one differs, or the record
+        counts do), their other keys are walked as outputs `name.key`."""
+        if len(ref) != len(got):
+            self.mismatches.append(f"{name}: record count")
+            return False
+        same = True
+        for i, (a, b) in enumerate(zip(ref, got)):
+            for key in a:
+                if key not in SAME_KEYS:
+                    self.compare(f"{name}.{key}", f"{name}[{i}].{key}", a[key], b[key])
+                elif a[key] != b[key]:
+                    same = False
+                    print(f"{name}[{i}].{key} differs", file=sys.stderr)
+        return same
+
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -152,6 +204,9 @@ def main(argv=None) -> int:
     base, change = (run_checkout(c, args.size) for c in (args.base, args.change))
 
     drift, same = Drift(), True
+    ref_oracles = base.pop("oracles")
+    for kind, got in change.pop("oracles").items():
+        same &= drift.records(f"oracles {kind}", ref_oracles[kind], got)
     for name, got in change.items():
         ref = base[name]
         if got["columns"] != ref["columns"] or len(got["rows"]) != len(ref["rows"]):
@@ -163,17 +218,7 @@ def main(argv=None) -> int:
         for key in sorted(ref["summary"].keys() | got["summary"].keys()):
             drift.compare(f"{name} summary.{key}", f"{name} summary.{key}",
                           ref["summary"].get(key), got["summary"].get(key))
-        if len(got["solves"]) != len(ref["solves"]):
-            drift.mismatches.append(f"{name}: solve count")
-            same = False
-            continue
-        for i, (a, b) in enumerate(zip(ref["solves"], got["solves"])):
-            for key in SAME_KEYS:
-                if a[key] != b[key]:
-                    same = False
-                    print(f"{name} solve[{i}].{key} differs", file=sys.stderr)
-            for key in TRACE_KEYS:
-                drift.compare(f"{name} solve.{key}", f"{name} solve[{i}].{key}", a[key], b[key])
+        same &= drift.records(f"{name} solve", ref["solves"], got["solves"])
 
     print(f"drift of {args.change} against {args.base} ({args.size} size)")
     moved = {o: w for o, w in sorted(drift.worst.items()) if w[0] > 0.0}
@@ -182,7 +227,7 @@ def main(argv=None) -> int:
     print(f"{len(drift.worst) - len(moved)} more numeric outputs identical")
     for path in drift.mismatches:
         print(f"non-numeric difference: {path}")
-    print("iteration counts, supports and flagged: " + ("identical" if same else "DIFFER"))
+    print("iteration counts, supports and flags: " + ("identical" if same else "DIFFER"))
     return 0 if same and not drift.mismatches else 1
 
 
