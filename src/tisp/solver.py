@@ -340,11 +340,17 @@ class SolverConfig:
 
 
 def stepsize_transform(rule: th.ThresholdRule, alpha: float):
-    """Rule whose induced penalty equals alpha times the original one.
+    """Rule for step size alpha, whose penalty is alpha times the original one.
 
     Returns ``(rule_alpha, lam_scale)`` where the transformed threshold is
-    ``lam_scale * lam``.  Only rule families closed under this scaling are
-    supported; scad and lr reject alpha < 1.
+    ``lam_scale * lam``.  For soft, mcp, ridge, elastic-net and berhu the
+    induced penalty is alpha times the original everywhere.  For hard and
+    hard-ridge it is so only at 0 and over the original rule's outputs (from
+    lambda on for hard), while rule_alpha's outputs start below them (at
+    sqrt(alpha)*lambda for hard); what the transform scales exactly there is
+    the L0-type penalty: lambda^2/2 per nonzero for hard, the ``l0+l2``
+    augmentation for hard-ridge.  Only rule families closed under this
+    scaling are supported; scad and lr reject alpha < 1.
     """
     if not (0.0 < alpha <= 1.0):
         raise ConfigurationError("alpha must lie in (0, 1]")
@@ -426,9 +432,14 @@ def scale_problem(problem: Problem, rho: float):
 def _scaled(problem: Problem, rho: float) -> _ScaledProblem:
     """The view Problem(X/rho, y, rho*beta*, sigma) on the problem's memo, at
     any rho > 0: `scale_problem` without its norm guard, for the oracles.
-    ConfigurationError unless rho is positive and finite, or if rho*beta* overflows."""
+    ConfigurationError unless rho is positive and finite, or if X/rho or
+    rho*beta* overflows."""
     if not (math.isfinite(rho) and rho > 0):
         raise ConfigurationError("rho must be positive and finite")
+    X = problem.X
+    if rho < 1.0 and X.size:  # a finite X/rho can overflow only then; max/min make no |X| copy
+        if math.isinf(float(max(X.max(), -X.min())) / rho):
+            raise ConfigurationError(f"X/rho overflows at rho={rho:.6g}")
     bstar = None
     if problem.beta_star is not None:
         with np.errstate(over="ignore"):  # beta_star is finite: only the product can overflow

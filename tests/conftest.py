@@ -1,6 +1,7 @@
 """Shared fixtures."""
 
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,8 @@ import tisp.solver
 # child processes (`python -m tisp.cli`) import the package the tests import
 _SRC = str(Path(tisp.solver.__file__).resolve().parents[1])
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+# the scripts under tools/ import each other by module name, as they do when run
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 
 @pytest.fixture

@@ -1,12 +1,7 @@
-"""tools/ab_pairs.py: the verdict per end-to-end metric."""
+"""tools/ab_pairs.py: the verdict and the summary line per end-to-end metric."""
 
-import importlib.util
-from pathlib import Path
+import ab_pairs
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "ab_pairs.py"
-_SPEC = importlib.util.spec_from_file_location("ab_pairs", _PATH)
-ab_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(ab_pairs)
 verdict = ab_pairs.verdict
 
 BASE = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]  # IQR 0.015
@@ -40,3 +35,18 @@ def test_unresolved_when_the_base_spreads_wider_than_the_bound():
     assert verdict(noisy, [0.7] * 8 + [0.74, 0.74], "higher", 0.1) == "worse"
     # few-percent moves inside a tight base and the bound
     assert verdict(BASE, [b + 0.02 for b in BASE], "lower", 0.1) == "within bound"
+
+
+def test_summary_reads_the_change_against_the_null():
+    def run(wall):
+        return {"correct": True, "attempted": 10, "failed": 0, "metrics": {"wall_s": {"value": wall}}}
+
+    base = [1.0, 1.1, 0.9, 1.05, 0.95]
+    null = [1.0, 1.01, 0.99, 1.0, 1.02]  # the null's per-triple ratios
+    triples = [{"base": run(b), "change": run(1.05 * b), "null": run(f * b)} for b, f in zip(base, null)]
+    lines = ab_pairs.summarize(triples, {"wall_s": ("lower", 0.25), "peak_rss_mb": ("lower", 0.1)})
+    assert len(lines) == 4  # no line for a metric the runs lack
+    assert "ratio 1.0500 null 1.0000 [0.9900, 1.0200]  change better 0/5" in lines[0]
+    assert lines[0].endswith("-> moved slower, within bound")
+    assert lines[1:] == [f"{side}: failed 0/50 operations, correct in 5/5 runs"
+                         for side in ("base", "change", "null")]

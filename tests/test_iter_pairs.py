@@ -1,15 +1,11 @@
 """tools/iter_pairs.py: the per-kind summary of interleaved bursts."""
 
-import importlib.util
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "iter_pairs.py"
-_SPEC = importlib.util.spec_from_file_location("iter_pairs", _PATH)
-iter_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(iter_pairs)
+import iter_pairs
+
 summarize = iter_pairs.summarize
 
 
@@ -49,3 +45,13 @@ def test_every_child_runs_equally_often_in_every_slot():
     for slot in range(len(iter_pairs.SIDES)):
         assert Counter(o[slot] for o in rounds) == {
             side: iter_pairs.ROUNDS // len(iter_pairs.SIDES) for side in iter_pairs.SIDES}
+
+
+def test_the_change_reads_against_the_null_range():
+    base = [(1000, s) for s in (0.030, 0.020, 0.025)]
+    null = [(1000, s) for s in (0.030, 0.021, 0.0225)]  # per-round ratios 1.0, 1.05, 0.9
+    s = summarize(base, [(1000, 0.033)] * 3, null)  # per-round ratios 1.1, 1.65, 1.32
+    assert s["null_range"] == pytest.approx((0.9, 1.05))
+    assert s["reading"] == "moved slower"
+    assert summarize(base, base, null)["reading"] == "not moved"
+    assert summarize(base, base)["null_range"] is summarize(base, base)["reading"] is None

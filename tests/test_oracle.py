@@ -94,6 +94,19 @@ def test_oracles_refuse_a_bad_rho_with_configuration_error(rho):
         check_theta_equation(np.zeros(2), prob, soft, rho=rho)
 
 
+def test_oracles_refuse_a_rho_at_which_x_over_rho_overflows():
+    # the suite turns a RuntimeWarning into an error, so each oracle must
+    # refuse before it divides or multiplies by the design
+    prob = Problem(np.array([[2.0, 1.0], [0.0, -3.0]]), np.ones(2))
+    soft = rule("soft(lambda=0.5)")
+    with pytest.raises(ConfigurationError, match="X/rho overflows"):
+        l0_global_min(prob, 0.5, 1e-308)
+    with pytest.raises(ConfigurationError, match="X/rho overflows"):
+        coordinate_descent_local_min(prob, soft, rho=1e-308)
+    with pytest.raises(ConfigurationError, match="X/rho overflows"):
+        check_theta_equation(np.zeros(2), prob, soft, rho=1e-308)
+
+
 def loop_l0_global_min(problem, lam, rho):
     # the reference: one pseudoinverse per support, in size-then-lexicographic
     # order, keeping the first least objective; then l0_global_min's gap repair

@@ -377,8 +377,11 @@ def test_a_solve_over_supports_never_builds_the_scaled_design():
 
 def test_stepsize_transform_scales_penalty():
     # the transformed rule's penalty must equal alpha times the original one;
-    # for the jump rules that can only hold at zero and past the original
-    # threshold, the region thresholded outputs actually occupy
+    # for hard and hard-ridge the induced penalties agree only at zero and
+    # over the original rule's outputs (the `kept` grid), though the
+    # transformed rule's outputs start below them (at sqrt(alpha)*lambda for
+    # hard): there the transform scales the L0-type penalty exactly, not the
+    # induced one
     full = np.linspace(-6.0, 6.0, 121)
     kept = np.concatenate([[0.0], np.linspace(0.91, 6.0, 60),
                            -np.linspace(0.91, 6.0, 60)])

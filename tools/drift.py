@@ -2,18 +2,18 @@
 
     python3 tools/drift.py BASE_DIR CHANGE_DIR [--size full|tiny]
 
-Imports `tisp` from each checkout's `src/` in its own subprocess and runs
-there the decay-large spec (gaussian-iid 2000x5000, J*=20, soft and hard,
-design seed 0), the acceptance decay and rate specs and a small all-kinds
+Imports `tisp` and `perfbench.workloads` from each checkout in its own
+subprocess and runs there, every solve recorded: perfbench's decay-large
+spec (`decay_large_spec`), the acceptance decay and rate specs
+(`experiment_specs`, written by `run_experiments`) and a small all-kinds
 decay spec (gaussian-iid 100x60, J*=4, seeds 0-2, one rule of each of the
-nine kinds), every solve recorded.  It also runs the oracles on the
-acceptance criteria's instances: `l0_global_min` at lambda 0.5 and
-rho = 1.05 ||X||_2 on criterion 6's (rng 6000 + i, 40 of them), and
-`coordinate_descent_local_min` with `check_theta_equation` for soft, mcp
-and scad on criterion 5's (rng 5000 + i, 20 of them).  `--size tiny` runs
-small stand-ins of the first three specs and 8 and 5 oracle instances, for
-a quick look.  For each output it prints the largest relative difference
-|a - b| / max(|a|, |b|) and the path where it occurs:
+nine kinds).  It also runs the oracles: `l0_global_min` at lambda 0.5 and
+rho = 1.05 ||X||_2 on 40 of criterion 6's instances (`MultiStart.setup`),
+and `coordinate_descent_local_min` with `check_theta_equation` for soft,
+mcp and scad on criterion 5's 20 (rng 5000 + i).  `--size tiny` runs
+perfbench's tiny specs and 8 and 5 oracle instances, for a quick look.  For
+each output it prints the largest relative difference |a - b| / max(|a|,
+|b|) and the path where it occurs:
 
 - the written result rows (`write_results_csv`), per column
 - the written summary (`write_summary_json`), per key
@@ -32,14 +32,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import subprocess
 import sys
+
+from pairing import child_env
 
 # Runs in the checkout's own interpreter: writes one JSON document to stdout.
 CHILD = r"""
 import csv, io, json, sys
 import numpy as np
+from perfbench import workloads
 from tisp import oracle, penalty, simulate, solver, thresholding
 
 SIZE = sys.argv[1]
@@ -58,50 +60,40 @@ def recording(problem, config, start=None):
     return res
 
 
-simulate.solve = recording
-Spec = simulate.ExperimentSpec
-n, p, j = (2000, 5000, 20) if FULL else (100, 250, 5)
-specs = {
-    "decay-large": ("decay", Spec(ensemble="gaussian-iid", n=n, p=p, J_star=j, sigma=1.0,
-                                  seeds=(0,), rules=("soft", "hard"), lambda_policy="theory")),
-    "acceptance-decay": ("decay", Spec(
-        ensemble="gaussian-iid", n=400 if FULL else 200, p=200 if FULL else 100,
-        J_star=5 if FULL else 3, sigma=1.0, seeds=tuple(range(20 if FULL else 4)),
-        rules=("soft", "hard"), lambda_policy="theory", A=1.0)),
-    "acceptance-rate": ("rate", Spec(
-        ensemble="gaussian-iid", sigma=1.0, seeds=tuple(range(10 if FULL else 3)),
-        rules=("hard",), lambda_policy="theory", A=2.0,
-        p_grid=(100, 200, 400) if FULL else (50, 100, 200),
-        J_star_grid=(2, 5, 10) if FULL else (2, 4, 8), n_factor=20.0)),
-    "all-kinds": ("decay", Spec(
-        ensemble="gaussian-iid", n=100, p=60, J_star=4, sigma=1.0, seeds=(0, 1, 2),
-        rules=("soft", "hard", "ridge(eta=0.5)", "elastic-net(eta=0.5)", "berhu(eta=0.5)",
-               "hard-ridge(eta=0.5)", "scad(a=3.7)", "mcp(gamma=2)", "lr(r=0.5,zeta=1)"),
-        lambda_policy="theory")),
-}
-out = {}
-for name, (kind, spec) in specs.items():
-    solves = []
-    run = simulate.run_decay_experiment if kind == "decay" else simulate.run_rate_experiment
-    rows, summary = run(spec, jobs=1)
+def written(rows, summary):  # as `run_experiments` writes each experiment
     csv_buf, json_buf = io.StringIO(), io.StringIO()
     simulate.write_results_csv(rows, csv_buf)
     simulate.write_summary_json(summary, json_buf)
     header, *cells = csv.reader(io.StringIO(csv_buf.getvalue()))
-    out[name] = {"columns": header, "rows": cells, "summary": json.loads(json_buf.getvalue()),
-                 "solves": solves}
+    return {"columns": header, "rows": cells, "summary": json.loads(json_buf.getvalue())}
 
-l0, cd = [], []
-for i in range(40 if FULL else 8):  # criterion 6's instances
-    rng = np.random.default_rng(6000 + i)
-    p = int(rng.integers(3, 11))
-    n = int(rng.integers(p, 2 * p + 6))
-    prob = solver.Problem(rng.standard_normal((n, p)), 2.0 * rng.standard_normal(n))
-    best = oracle.l0_global_min(prob, 0.5, 1.05 * prob.norm)
+
+simulate.solve = recording
+all_kinds = simulate.ExperimentSpec(
+    ensemble="gaussian-iid", n=100, p=60, J_star=4, sigma=1.0, seeds=(0, 1, 2),
+    rules=("soft", "hard", "ridge(eta=0.5)", "elastic-net(eta=0.5)", "berhu(eta=0.5)",
+           "hard-ridge(eta=0.5)", "scad(a=3.7)", "mcp(gamma=2)", "lr(r=0.5,zeta=1)"),
+    lambda_policy="theory")
+out, records = {}, {}
+for name, spec in (("decay-large", workloads.decay_large_spec(SIZE)), ("all-kinds", all_kinds)):
+    out[name] = written(*simulate.run_decay_experiment(spec, jobs=1))
+    records[f"{name} solve"] = solves[:]
+    solves.clear()
+*_, pair = workloads.run_experiments(*workloads.experiment_specs(SIZE))
+out["acceptance-decay"], out["acceptance-rate"] = pair["decay"], pair["rate"]
+records["acceptance solve"] = solves
+
+ms = workloads.MultiStart(0, SIZE, ".")
+ms.n_instances = 40 if FULL else 8  # more of criterion 6's instances than a pass solves
+ms.setup()
+records["oracles l0"] = l0 = []
+for prob in ms.instances:
+    best = oracle.l0_global_min(prob, ms.LAM, 1.05 * prob.norm)
     l0.append({"objective": best.objective, "support": best.support, "gap_ok": best.gap_ok,
                "min_magnitude": best.min_magnitude, "beta": best.beta.tolist()})
 rules = [thresholding.parse_rule(t) for t in
          ("soft(lambda=0.4)", "mcp(lambda=0.4,gamma=3)", "scad(lambda=0.4,a=3.7)")]
+records["oracles cd"] = cd = []
 for i in range(20 if FULL else 5):  # criterion 5's descent instances
     rng = np.random.default_rng(5000 + i)
     X = rng.standard_normal((20, 10))
@@ -116,8 +108,7 @@ for i in range(20 if FULL else 5):  # criterion 5's descent instances
         cd.append({"beta": res.beta.tolist(), "objective": res.objective, "sweeps": res.sweeps,
                    "converged": res.converged, "residual": rep.residual,
                    "flag": rep.continuity_flag})
-out["oracles"] = {"l0": l0, "cd": cd}
-json.dump(out, sys.stdout)
+json.dump({"written": out, "records": records}, sys.stdout)
 """
 
 # record keys that must be equal; a record's other keys are numeric outputs
@@ -126,8 +117,7 @@ SAME_KEYS = ("iterations", "reason", "support", "flagged", "gap_ok", "sweeps", "
 
 def run_checkout(checkout: str, size: str) -> dict:
     """The outputs of one checkout, from a fresh interpreter importing its src/."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
-    proc = subprocess.run([sys.executable, "-c", CHILD, size], cwd=checkout, env=env,
+    proc = subprocess.run([sys.executable, "-c", CHILD, size], cwd=checkout, env=child_env(checkout),
                           stdin=subprocess.DEVNULL, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: exited {proc.returncode}\n{proc.stderr[-2000:]}")
@@ -204,11 +194,10 @@ def main(argv=None) -> int:
     base, change = (run_checkout(c, args.size) for c in (args.base, args.change))
 
     drift, same = Drift(), True
-    ref_oracles = base.pop("oracles")
-    for kind, got in change.pop("oracles").items():
-        same &= drift.records(f"oracles {kind}", ref_oracles[kind], got)
-    for name, got in change.items():
-        ref = base[name]
+    for name, got in change["records"].items():
+        same &= drift.records(name, base["records"][name], got)
+    for name, got in change["written"].items():
+        ref = base["written"][name]
         if got["columns"] != ref["columns"] or len(got["rows"]) != len(ref["rows"]):
             drift.mismatches.append(f"{name}: result columns or row count")
         else:
@@ -218,7 +207,6 @@ def main(argv=None) -> int:
         for key in sorted(ref["summary"].keys() | got["summary"].keys()):
             drift.compare(f"{name} summary.{key}", f"{name} summary.{key}",
                           ref["summary"].get(key), got["summary"].get(key))
-        same &= drift.records(f"{name} solve", ref["solves"], got["solves"])
 
     print(f"drift of {args.change} against {args.base} ({args.size} size)")
     moved = {o: w for o, w in sorted(drift.worst.items()) if w[0] > 0.0}
