@@ -381,31 +381,68 @@ def stepsize_transform(rule: th.ThresholdRule, alpha: float):
 # spectral norm and scaling
 # ---------------------------------------------------------------------------
 
+# floats the Gram A may hold for `spectral_norm` to square it (4 MB)
+_GRAM_SQUARE_ENTRIES = 1 << 19
+
+
 def spectral_norm(X) -> float:
     """Largest singular value of X by power iteration on the smaller Gram matrix.
 
     Stops once the eigenvalue estimate moves by at most 1e-8 relative (after
     at least 11 and at most 50000 steps).  Deterministic: the start vector
     comes from the generator seeded with 0.
+
+    Two paths, chosen by the size of the Gram A.  When A holds at most
+    `_GRAM_SQUARE_ENTRIES` floats (4 MB), B = A A is formed once and each
+    product with B takes two steps: for a unit v and u = B v, ||A v|| =
+    sqrt(v'u), the next step's estimate is ||u|| / ||A v||, and u/||u|| is
+    the vector two steps on.  The stop test runs after each of the two
+    estimates, so the stop step is the one-step loop's and the estimate
+    agrees with it to rounding (a few ulps).  Above the budget the one-step
+    loop runs: B would add the Gram's size again to the peak RSS (32 MB on a
+    2000x2000 Gram).  Both paths first scale A by 2^-e, e the even exponent
+    at or below that of A's largest diagonal entry, and unscale the estimate
+    by 2^(e/2).  The scaling is exact, so it moves no estimate by a bit, and
+    keeps ||A v||^2 from under- or overflowing at any finite A.
     """
     X = np.asarray(X, dtype=float)
     if X.size == 0 or not np.any(X):
         return 0.0
     n, p = X.shape
     A = X.T @ X if p <= n else X @ X.T
+    e = math.frexp(A.diagonal().max())[1] & ~1  # even: sqrt unscales exactly
+    np.ldexp(A, -e, out=A)
     v = np.random.default_rng(0).standard_normal(A.shape[0])
     v /= np.linalg.norm(v)
+    u = np.empty_like(v)
     lam_prev = 0.0
+    if A.size <= _GRAM_SQUARE_ENTRIES:
+        B = A @ A.T  # one syrk, as A is symmetric
+        del A
+        for k in range(0, 50000, 2):
+            np.matmul(B, v, out=u)
+            lam = math.sqrt(max(np.dot(v, u), 0.0))  # below 0 only by rounding at A v = 0
+            if lam == 0.0:
+                return 0.0
+            if k >= 10 and abs(lam - lam_prev) <= 1e-8 * lam:
+                break
+            norm_u = math.sqrt(np.dot(u, u))
+            lam_prev, lam = lam, norm_u / lam
+            if k >= 10 and abs(lam - lam_prev) <= 1e-8 * lam:  # step k + 1 >= 10, k even
+                break
+            lam_prev = lam
+            np.divide(u, norm_u, out=v)
+        return math.ldexp(math.sqrt(lam), e // 2)
     for k in range(50000):
-        w = A @ v
-        lam = float(np.linalg.norm(w))
+        np.matmul(A, v, out=u)
+        lam = math.sqrt(np.dot(u, u))
         if lam == 0.0:
             return 0.0
-        v = w / lam
+        np.divide(u, lam, out=v)
         if k >= 10 and abs(lam - lam_prev) <= 1e-8 * lam:
             break
         lam_prev = lam
-    return math.sqrt(lam)
+    return math.ldexp(math.sqrt(lam), e // 2)
 
 
 def scale_problem(problem: Problem, rho: float):
@@ -432,14 +469,16 @@ def scale_problem(problem: Problem, rho: float):
 def _scaled(problem: Problem, rho: float) -> _ScaledProblem:
     """The view Problem(X/rho, y, rho*beta*, sigma) on the problem's memo, at
     any rho > 0: `scale_problem` without its norm guard, for the oracles.
-    ConfigurationError unless rho is positive and finite, or if X/rho or
-    rho*beta* overflows."""
+    ConfigurationError unless rho is positive and finite, or if a squared
+    column norm of X/rho or rho*beta* overflows."""
     if not (math.isfinite(rho) and rho > 0):
         raise ConfigurationError("rho must be positive and finite")
     X = problem.X
-    if rho < 1.0 and X.size:  # a finite X/rho can overflow only then; max/min make no |X| copy
-        if math.isinf(float(max(X.max(), -X.min())) / rho):
-            raise ConfigurationError(f"X/rho overflows at rho={rho:.6g}")
+    if rho < 1.0 and X.size:  # X/rho and its products can overflow only then
+        with np.errstate(over="ignore"):  # an infinite column norm is refused below
+            col_max = float(np.einsum("ij,ij->j", X, X).max())  # no n x p temporary
+        if math.isinf(col_max / rho / rho):
+            raise ConfigurationError(f"X/rho overflows in its products at rho={rho:.6g}")
     bstar = None
     if problem.beta_star is not None:
         with np.errstate(over="ignore"):  # beta_star is finite: only the product can overflow

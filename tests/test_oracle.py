@@ -96,15 +96,17 @@ def test_oracles_refuse_a_bad_rho_with_configuration_error(rho):
 
 def test_oracles_refuse_a_rho_at_which_x_over_rho_overflows():
     # the suite turns a RuntimeWarning into an error, so each oracle must
-    # refuse before it divides or multiplies by the design
-    prob = Problem(np.array([[2.0, 1.0], [0.0, -3.0]]), np.ones(2))
+    # refuse before it divides or multiplies by the design; at np.eye(2)
+    # X/rho is finite, and only its products overflow
     soft = rule("soft(lambda=0.5)")
-    with pytest.raises(ConfigurationError, match="X/rho overflows"):
-        l0_global_min(prob, 0.5, 1e-308)
-    with pytest.raises(ConfigurationError, match="X/rho overflows"):
-        coordinate_descent_local_min(prob, soft, rho=1e-308)
-    with pytest.raises(ConfigurationError, match="X/rho overflows"):
-        check_theta_equation(np.zeros(2), prob, soft, rho=1e-308)
+    for X in (np.array([[2.0, 1.0], [0.0, -3.0]]), np.eye(2)):
+        prob = Problem(X, np.ones(2))
+        with pytest.raises(ConfigurationError, match="X/rho overflows"):
+            l0_global_min(prob, 0.5, 1e-308)
+        with pytest.raises(ConfigurationError, match="X/rho overflows"):
+            coordinate_descent_local_min(prob, soft, rho=1e-308)
+        with pytest.raises(ConfigurationError, match="X/rho overflows"):
+            check_theta_equation(np.zeros(2), prob, soft, rho=1e-308)
 
 
 def loop_l0_global_min(problem, lam, rho):

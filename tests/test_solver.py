@@ -11,6 +11,7 @@ import pytest
 
 import tisp.solver
 from tisp.penalty import PenaltySpec, energy, penalty_theta
+from tisp.simulate import ExperimentSpec, gen_design
 from tisp.solver import (
     ConfigurationError,
     LambdaSchedule,
@@ -69,6 +70,123 @@ def test_spectral_norm_special_cases():
     assert spectral_norm(np.diag([1.0, 5.0, 2.0])) == pytest.approx(5.0, rel=1e-9)
     col = np.array([[3.0], [4.0]])
     assert spectral_norm(col) == pytest.approx(5.0, rel=1e-9)
+
+
+def power_reference(X):
+    # the one-step power iteration `spectral_norm` ran before it squared the
+    # Gram and scaled it by a power of two: (estimate, steps taken)
+    X = np.asarray(X, dtype=float)
+    n, p = X.shape
+    A = X.T @ X if p <= n else X @ X.T
+    v = np.random.default_rng(0).standard_normal(A.shape[0])
+    v /= np.linalg.norm(v)
+    lam_prev = 0.0
+    for k in range(50000):
+        w = A @ v
+        lam = float(np.linalg.norm(w))
+        if lam == 0.0:
+            return 0.0, k + 1
+        v = w / lam
+        if k >= 10 and abs(lam - lam_prev) <= 1e-8 * lam:
+            break
+        lam_prev = lam
+    return math.sqrt(lam), k + 1
+
+
+class _CountedMath:
+    """`math` for `tisp.solver` with its sqrt calls counted: each step of
+    either power loop takes one, and the unscaled estimate one more."""
+
+    def __init__(self):
+        self.sqrt_calls = 0
+
+    def sqrt(self, x):
+        self.sqrt_calls += 1
+        return math.sqrt(x)
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+
+def norm_and_steps(X, monkeypatch):
+    counted = _CountedMath()
+    with monkeypatch.context() as m:
+        m.setattr(tisp.solver, "math", counted)
+        norm = spectral_norm(X)
+    return norm, counted.sqrt_calls - 1
+
+
+def gap_design(gap, seed):
+    # 200 x 300 with singular values 1, 1 - gap and the rest in [0, 0.9)
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((200, 200)))[0]
+    V = np.linalg.qr(rng.standard_normal((300, 200)))[0]
+    s = np.concatenate([[1.0, 1.0 - gap], 0.9 * rng.random(198)])
+    return (U * s) @ V.T
+
+
+def norm_panel():
+    rng = np.random.default_rng(7)
+    panel = {f"gaussian{shape}": rng.standard_normal(shape)
+             for shape in [(60, 20), (20, 60), (1, 1), (150, 150)]}
+    panel["diag"] = np.diag([1.0, 5.0, 2.0, 4.9])
+    panel["rank-deficient"] = rng.standard_normal((40, 5)) @ rng.standard_normal((5, 50))
+    for gap in (1e-3, 1e-4, 1e-5, 1e-6):
+        panel[f"gap{gap:g}"] = gap_design(gap, 3)
+    ar1 = ExperimentSpec(ensemble="gaussian-ar1", n=120, p=80, J_star=5, rho_corr=0.9)
+    panel["gaussian-ar1"] = gen_design(ar1, 4)
+    decay = ExperimentSpec(ensemble="gaussian-iid", n=400, p=200, J_star=5)
+    for seed in range(20):  # the acceptance decay designs
+        panel[f"decay{seed}"] = gen_design(decay, seed)
+    return panel
+
+
+def test_spectral_norm_one_step_path_is_the_reference_loop(monkeypatch):
+    monkeypatch.setattr(tisp.solver, "_GRAM_SQUARE_ENTRIES", 0)
+    for name, X in norm_panel().items():
+        ref, steps = power_reference(X)
+        assert norm_and_steps(X, monkeypatch) == (ref, steps), name
+
+
+def test_spectral_norm_squared_path_agrees_with_the_reference_loop(monkeypatch):
+    # B = A A takes two steps a product; only rounding separates the estimates
+    for name, X in norm_panel().items():
+        assert min(X.shape) ** 2 <= tisp.solver._GRAM_SQUARE_ENTRIES
+        ref, steps = power_reference(X)
+        norm, got_steps = norm_and_steps(X, monkeypatch)
+        assert got_steps == steps, name
+        assert abs(norm - ref) <= 4 * np.spacing(ref), name
+
+
+@pytest.mark.parametrize("budget", [0, 1 << 19])
+def test_spectral_norm_is_exact_under_power_of_two_scaling(monkeypatch, budget):
+    # an overflowing or underflowing |A v|^2 read 0.0; the suite turns the
+    # RuntimeWarning an overflow raises into an error
+    monkeypatch.setattr(tisp.solver, "_GRAM_SQUARE_ENTRIES", budget)
+    X = np.random.default_rng(5).standard_normal((30, 20))
+    norm = spectral_norm(X)
+    for c in (2.0 ** 300, 2.0 ** -300):
+        assert spectral_norm(c * X) == c * norm
+    assert spectral_norm(1e-100 * np.eye(3)) == pytest.approx(1e-100, rel=1e-15)
+    assert spectral_norm(1e100 * np.eye(3)) == pytest.approx(1e100, rel=1e-15)
+    with pytest.raises(ConfigurationError, match="below the design spectral norm"):
+        scale_problem(Problem(1e100 * np.eye(3), np.ones(3)), 1.0)
+
+
+def test_spectral_norm_squares_the_gram_only_within_its_memory_budget():
+    # B = A A doubles the memory the norm takes: 2 Grams under the budget,
+    # one Gram over it
+    rng = np.random.default_rng(2)
+    for shape, grams in [((800, 1000), 1.1), ((600, 700), 2.1)]:
+        X = rng.standard_normal(shape)
+        gram_bytes = 8 * min(shape) ** 2
+        tracemalloc.start()
+        try:
+            spectral_norm(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grams * gram_bytes, (shape, peak / gram_bytes)
 
 
 def test_scale_problem_roundtrip_and_refusal():
