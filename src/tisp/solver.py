@@ -351,6 +351,13 @@ def stepsize_transform(rule: th.ThresholdRule, alpha: float):
     the L0-type penalty: lambda^2/2 per nonzero for hard, the ``l0+l2``
     augmentation for hard-ridge.  Only rule families closed under this
     scaling are supported; scad and lr reject alpha < 1.
+
+    The damped step beta <- rule_alpha(beta + alpha Xs'(y - Xs beta)) is
+    the plain step on (sqrt(alpha) Xs, sqrt(alpha) y), so it descends
+    0.5 ||y - Xs beta||^2 + sum_j P_alpha(|beta_j|) / alpha, P_alpha the
+    penalty rule_alpha induces: the original objective wherever P_alpha is
+    alpha times the original penalty, and not elsewhere (for hard, P_alpha
+    differs below lambda).  `solve` records that objective.
     """
     if not (0.0 < alpha <= 1.0):
         raise ConfigurationError("alpha must lie in (0, 1]")
@@ -381,68 +388,159 @@ def stepsize_transform(rule: th.ThresholdRule, alpha: float):
 # spectral norm and scaling
 # ---------------------------------------------------------------------------
 
-# floats the Gram A may hold for `spectral_norm` to square it (4 MB)
+# floats the Gram A may hold for `spectral_norm` to square it (4 MB); a
+# larger Gram takes the Lanczos replay
 _GRAM_SQUARE_ENTRIES = 1 << 19
+# below this largest Gram entry d, a product that moves d by half an ulp
+# (d * 2^-53) can be subnormal and lose bits
+_GRAM_TINY = 2.0 ** -969
+# Lanczos steps between replays
+_REPLAY_EVERY = 8
 
 
 def spectral_norm(X) -> float:
     """Largest singular value of X by power iteration on the smaller Gram matrix.
 
-    Stops once the eigenvalue estimate moves by at most 1e-8 relative (after
-    at least 11 and at most 50000 steps).  Deterministic: the start vector
-    comes from the generator seeded with 0.
+    The power iteration v <- A v / ||A v|| from a unit v0 estimates the top
+    eigenvalue of A at step k as lam_k = ||A v_k||, and stops at the first
+    k >= 10 with |lam_k - lam_(k-1)| <= 1e-8 lam_k, or at k = 49999.
+    Deterministic: v0 comes from the generator seeded with 0.  ValueError
+    when X is not finite; inf when ||X||_2 exceeds the largest float.
 
-    Two paths, chosen by the size of the Gram A.  When A holds at most
+    Two paths, chosen by the size of A.  When A holds at most
     `_GRAM_SQUARE_ENTRIES` floats (4 MB), B = A A is formed once and each
     product with B takes two steps: for a unit v and u = B v, ||A v|| =
     sqrt(v'u), the next step's estimate is ||u|| / ||A v||, and u/||u|| is
     the vector two steps on.  The stop test runs after each of the two
-    estimates, so the stop step is the one-step loop's and the estimate
-    agrees with it to rounding (a few ulps).  Above the budget the one-step
-    loop runs: B would add the Gram's size again to the peak RSS (32 MB on a
-    2000x2000 Gram).  Both paths first scale A by 2^-e, e the even exponent
-    at or below that of A's largest diagonal entry, and unscale the estimate
-    by 2^(e/2).  The scaling is exact, so it moves no estimate by a bit, and
-    keeps ||A v||^2 from under- or overflowing at any finite A.
+    estimates.  Above the budget, where B would add the Gram's size again
+    to the peak RSS (32 MB on a 2000x2000 Gram), Lanczos runs on A from the
+    same v0 with the three-term recurrence alone: no stored basis, no
+    reorthogonalization, a few m-vectors beside A.  Its tridiagonal T_j
+    holds the moments m_i = v0'A^i v0 as e1'T_j^i e1 (the Gauss quadrature
+    of A's spectral measure at v0, exact for i < 2j), so the squared loop
+    on T_j T_j from e1 replays the power loop on A: the same estimates
+    lam_k = sqrt(m_(2k+2) / m_(2k)) under the same stop test.  It replays
+    every `_REPLAY_EVERY` steps and ends when two successive replays stop
+    at the same step with estimates within 2 ulps, or at a breakdown (T_j
+    then holds every moment).  Lost orthogonality adds copies of converged
+    eigenvalues to T_j, not errors to its moments (Greenbaum, Linear
+    Algebra Appl. 113, 1989), and one Lanczos step stands for about eight
+    power steps on the decay-large design.  Both paths return the power
+    loop's estimate at its stop step, to a few ulps, not T_j's top
+    eigenvalue: every rho="auto" and every guard rho >= ||X||_2 reads that
+    estimate, and the top eigenvalue lies above it (by about 4e-7 relative
+    on the decay-large design).
+
+    Both paths first scale A by 2^-e, e the even exponent at or below that
+    of A's largest entry (on its diagonal), and unscale the estimate by
+    2^(e/2).  When that entry is not finite, or under `_GRAM_TINY`, the
+    Gram is formed again from X scaled by 2^-f, f the exponent of its
+    largest |x_ij| (a copy of X, made only then).  The scaling is exact, so
+    spectral_norm(2^i X) == 2^i spectral_norm(X) for every finite X whose
+    entries and norm stay normal floats.
     """
+    return _norm_and_steps(X)[0]
+
+
+def _norm_and_steps(X) -> tuple[float, int]:
+    """`spectral_norm` and the number of power steps it replayed or took."""
     X = np.asarray(X, dtype=float)
     if X.size == 0 or not np.any(X):
-        return 0.0
+        return 0.0, 0
     n, p = X.shape
-    A = X.T @ X if p <= n else X @ X.T
-    e = math.frexp(A.diagonal().max())[1] & ~1  # even: sqrt unscales exactly
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Gram is formed again
+        A = X.T @ X if p <= n else X @ X.T
+    d, f = A.diagonal().max(), 0
+    if not _GRAM_TINY <= d < math.inf:
+        if not np.isfinite(X).all():
+            raise ValueError("X must be finite")
+        f = math.frexp(max(X.max(), -X.min()))[1]
+        Xf = np.ldexp(X, -f)
+        A = Xf.T @ Xf if p <= n else Xf @ Xf.T
+        del Xf
+        d = A.diagonal().max()
+    e = math.frexp(d)[1] & ~1  # even: sqrt unscales exactly
     np.ldexp(A, -e, out=A)
-    v = np.random.default_rng(0).standard_normal(A.shape[0])
+    if A.size <= _GRAM_SQUARE_ENTRIES:
+        lam, steps = _power_squared(A @ A.T, _start_vector(A.shape[0]))  # one syrk: A is symmetric
+    else:
+        lam, steps = _lanczos_replay(A)
+    try:
+        return math.ldexp(math.sqrt(lam), e // 2 + f), steps
+    except OverflowError:
+        return math.inf, steps
+
+
+def _start_vector(m):
+    v = np.random.default_rng(0).standard_normal(m)
     v /= np.linalg.norm(v)
+    return v
+
+
+def _power_squared(B, v):
+    """(top eigenvalue estimate of A, steps) of the power loop on A from the
+    unit v, two steps per product with B = A A; v is overwritten."""
     u = np.empty_like(v)
     lam_prev = 0.0
-    if A.size <= _GRAM_SQUARE_ENTRIES:
-        B = A @ A.T  # one syrk, as A is symmetric
-        del A
-        for k in range(0, 50000, 2):
-            np.matmul(B, v, out=u)
-            lam = math.sqrt(max(np.dot(v, u), 0.0))  # below 0 only by rounding at A v = 0
-            if lam == 0.0:
-                return 0.0
-            if k >= 10 and abs(lam - lam_prev) <= 1e-8 * lam:
-                break
-            norm_u = math.sqrt(np.dot(u, u))
-            lam_prev, lam = lam, norm_u / lam
-            if k >= 10 and abs(lam - lam_prev) <= 1e-8 * lam:  # step k + 1 >= 10, k even
-                break
-            lam_prev = lam
-            np.divide(u, norm_u, out=v)
-        return math.ldexp(math.sqrt(lam), e // 2)
-    for k in range(50000):
-        np.matmul(A, v, out=u)
-        lam = math.sqrt(np.dot(u, u))
+    for k in range(0, 50000, 2):
+        np.matmul(B, v, out=u)
+        lam = math.sqrt(max(np.dot(v, u), 0.0))  # below 0 only by rounding at A v = 0
         if lam == 0.0:
-            return 0.0
-        np.divide(u, lam, out=v)
+            return 0.0, k + 1
         if k >= 10 and abs(lam - lam_prev) <= 1e-8 * lam:
+            return lam, k + 1
+        norm_u = math.sqrt(np.dot(u, u))
+        lam_prev, lam = lam, norm_u / lam
+        if k >= 10 and abs(lam - lam_prev) <= 1e-8 * lam:  # step k + 1 >= 10, k even
             break
         lam_prev = lam
-    return math.ldexp(math.sqrt(lam), e // 2)
+        np.divide(u, norm_u, out=v)
+    return lam, k + 2
+
+
+def _lanczos_replay(A):
+    """(top eigenvalue estimate of A, steps) of the power loop on A, replayed
+    on Lanczos tridiagonals as `spectral_norm` describes."""
+    q = _start_vector(A.shape[0])
+    q_prev, u = np.zeros_like(q), np.empty_like(q)
+    alphas, betas, beta, last = [], [], 0.0, None
+    for j in range(1, 50001):
+        np.matmul(A, q, out=u)
+        if beta:
+            u -= beta * q_prev
+        alpha = float(np.dot(q, u))
+        u -= alpha * q
+        beta = math.sqrt(np.dot(u, u))
+        alphas.append(alpha)
+        betas.append(beta)
+        if beta == 0.0 or j % _REPLAY_EVERY == 0:
+            e1 = np.zeros(j)
+            e1[0] = 1.0
+            got = _power_squared(_tridiagonal_square(alphas, betas[:-1]), e1)
+            if beta == 0.0 or (last is not None and got[1] == last[1]
+                               and abs(got[0] - last[0]) <= 2 * math.ulp(got[0])):
+                return got
+            last = got
+        q_prev, q, u = q, u, q_prev
+        q /= beta
+    return got
+
+
+def _tridiagonal_square(a, b):
+    """T T, dense, for the symmetric tridiagonal T with diagonal a and
+    off-diagonal b.  Formed entry by entry: a LAPACK or matrix-matrix BLAS
+    call would add its code pages, about 1 MB, to the peak RSS the Gram sets."""
+    a, b = np.array(a), np.array(b)
+    main = a * a
+    main[1:] += b * b
+    main[:-1] += b * b
+    near, far = b * (a[:-1] + a[1:]), b[:-1] * b[1:]
+    B = np.zeros((a.size, a.size))
+    flat, step = B.reshape(-1), a.size + 1  # flat[d::step] runs down the diagonal d right of the main one
+    flat[::step] = main
+    flat[1::step] = flat[step - 1::step] = near
+    flat[2::step][:far.size] = flat[2 * step - 2::step] = far
+    return B
 
 
 def scale_problem(problem: Problem, rho: float):
@@ -668,6 +766,12 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
     coordinate system; default is zero.  Returns the unscaled estimate,
     the iterate trace, and the termination reason ("converged" or
     "max_iter").  Raises SolverError if iterates become non-finite.
+
+    The trace's objective is the one the iteration descends at rho >=
+    ||X||_2: 0.5 ||y - Xs beta~||^2 + sum_j P_alpha(|beta~_j|) / alpha,
+    P_alpha the penalty (with the configured augmentation) of
+    `stepsize_transform`'s rule at Theta's threshold.  At alpha = 1 it is
+    f(beta) of the module docstring.
     """
     rule, schedule, alpha = config.rule, config.schedule, config.alpha
     tol, max_iter, record_every = config.tol, config.max_iter, config.record_every
@@ -676,7 +780,7 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
     memo, y = scaled.memo, scaled.y  # the problem's memo, at scale rho
     support, times = memo.support, memo.times
     rule_a, lam_scale = stepsize_transform(rule, alpha)
-    pen_spec = pen.PenaltySpec(rule=rule, augmentation=config.augmentation)
+    pen_spec = pen.PenaltySpec(rule=rule_a, augmentation=config.augmentation)
 
     trace = IterateTrace(has_errors=problem.beta_star is not None)
     lam_t = rule.lam if schedule is None else schedule.value(0)  # None for ridge and lr
@@ -687,13 +791,13 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
     reason = "max_iter"
 
     def flush():
-        # the pending rows' objectives: one penalty evaluation on the stacked
-        # iterates, at the threshold they were recorded under (row sums of a
-        # C-contiguous block equal each row's own sum bit for bit), and one
-        # stacked 0.5*r @ r (each row's own dot)
+        # the pending rows' objectives: one evaluation of rule_a's penalty
+        # over alpha on the stacked iterates, at the threshold they were
+        # recorded under (row sums of a C-contiguous block equal each row's
+        # own sum bit for bit), and one stacked 0.5*r @ r (each row's own dot)
         if pending:
             block = np.abs(np.array([b for b, _ in pending]))
-            pens = pen._penalty_z(pen_spec, block, th.rule_lambda(rule, lam_t)).sum(axis=1)
+            pens = pen._penalty_z(pen_spec, block, th.rule_lambda(rule_a, override)).sum(axis=1) / alpha
             R = np.array([r for _, r in pending])
             halves = np.matmul((0.5 * R)[:, None, :], R[:, :, None])[:, 0, 0]
             trace.objective.extend(float(q + s) for q, s in zip(halves, pens))

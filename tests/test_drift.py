@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import drift
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -14,3 +16,8 @@ def test_a_checkout_does_not_drift_from_itself():
     header, identical, flags = proc.stdout.splitlines()  # no moved output, no non-numeric one
     assert identical.endswith("more numeric outputs identical")
     assert flags == "iteration counts, supports and flags: identical"
+    records = drift.run_checkout(str(ROOT), "tiny")["records"]  # what the run compared
+    (cli,) = records["cli-solve solve"]
+    assert cli["reason"] == "converged"
+    solves = [r for name, rs in records.items() if name.endswith(" solve") for r in rs]
+    assert len(solves) > 1 and all(r["rho"] > 0 for r in solves)

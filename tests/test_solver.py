@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -93,36 +94,13 @@ def power_reference(X):
     return math.sqrt(lam), k + 1
 
 
-class _CountedMath:
-    """`math` for `tisp.solver` with its sqrt calls counted: each step of
-    either power loop takes one, and the unscaled estimate one more."""
-
-    def __init__(self):
-        self.sqrt_calls = 0
-
-    def sqrt(self, x):
-        self.sqrt_calls += 1
-        return math.sqrt(x)
-
-    def __getattr__(self, name):
-        return getattr(math, name)
-
-
-def norm_and_steps(X, monkeypatch):
-    counted = _CountedMath()
-    with monkeypatch.context() as m:
-        m.setattr(tisp.solver, "math", counted)
-        norm = spectral_norm(X)
-    return norm, counted.sqrt_calls - 1
-
-
-def gap_design(gap, seed):
-    # 200 x 300 with singular values 1, 1 - gap and the rest in [0, 0.9)
+def gap_designs(gaps, seed, n=200, p=300):
+    # n x p (n <= p) with singular values 1, 1 - gap and the rest in [0, 0.9)
     rng = np.random.default_rng(seed)
-    U = np.linalg.qr(rng.standard_normal((200, 200)))[0]
-    V = np.linalg.qr(rng.standard_normal((300, 200)))[0]
-    s = np.concatenate([[1.0, 1.0 - gap], 0.9 * rng.random(198)])
-    return (U * s) @ V.T
+    U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((p, n)))[0]
+    rest = 0.9 * rng.random(n - 2)
+    return {gap: (U * np.concatenate([[1.0, 1.0 - gap], rest])) @ V.T for gap in gaps}
 
 
 def norm_panel():
@@ -131,8 +109,8 @@ def norm_panel():
              for shape in [(60, 20), (20, 60), (1, 1), (150, 150)]}
     panel["diag"] = np.diag([1.0, 5.0, 2.0, 4.9])
     panel["rank-deficient"] = rng.standard_normal((40, 5)) @ rng.standard_normal((5, 50))
-    for gap in (1e-3, 1e-4, 1e-5, 1e-6):
-        panel[f"gap{gap:g}"] = gap_design(gap, 3)
+    for gap, X in gap_designs((1e-3, 1e-4, 1e-5, 1e-6), 3).items():
+        panel[f"gap{gap:g}"] = X
     ar1 = ExperimentSpec(ensemble="gaussian-ar1", n=120, p=80, J_star=5, rho_corr=0.9)
     panel["gaussian-ar1"] = gen_design(ar1, 4)
     decay = ExperimentSpec(ensemble="gaussian-iid", n=400, p=200, J_star=5)
@@ -141,21 +119,45 @@ def norm_panel():
     return panel
 
 
-def test_spectral_norm_one_step_path_is_the_reference_loop(monkeypatch):
-    monkeypatch.setattr(tisp.solver, "_GRAM_SQUARE_ENTRIES", 0)
-    for name, X in norm_panel().items():
-        ref, steps = power_reference(X)
-        assert norm_and_steps(X, monkeypatch) == (ref, steps), name
+def over_budget_panel():
+    # designs whose Gram holds more than 2**19 floats
+    panel = {f"gaussian1000x2000-{seed}": np.random.default_rng(seed).standard_normal((1000, 2000))
+             for seed in range(3)}
+    ar1 = ExperimentSpec(ensemble="gaussian-ar1", n=900, p=1200, J_star=5, rho_corr=0.9)
+    panel["gaussian-ar1"] = gen_design(ar1, 0)
+    rng = np.random.default_rng(1)
+    panel["orthonormal"] = np.linalg.qr(rng.standard_normal((1000, 800)))[0]
+    panel["rank-deficient"] = rng.standard_normal((800, 50)) @ rng.standard_normal((50, 900))
+    for gap, X in gap_designs([10.0 ** -i for i in range(2, 9)], 3, 800, 1000).items():
+        panel[f"gap{gap:g}"] = X
+    return panel
 
 
-def test_spectral_norm_squared_path_agrees_with_the_reference_loop(monkeypatch):
-    # B = A A takes two steps a product; only rounding separates the estimates
-    for name, X in norm_panel().items():
-        assert min(X.shape) ** 2 <= tisp.solver._GRAM_SQUARE_ENTRIES
+def assert_agrees_with_the_reference_loop(panel):
+    # the same stop step, and only rounding between the estimates
+    for name, X in panel.items():
         ref, steps = power_reference(X)
-        norm, got_steps = norm_and_steps(X, monkeypatch)
+        norm, got_steps = tisp.solver._norm_and_steps(X)
         assert got_steps == steps, name
         assert abs(norm - ref) <= 4 * np.spacing(ref), name
+
+
+def test_spectral_norm_lanczos_replay_agrees_with_the_reference_loop(monkeypatch):
+    monkeypatch.setattr(tisp.solver, "_GRAM_SQUARE_ENTRIES", 0)
+    assert_agrees_with_the_reference_loop(norm_panel())
+
+
+def test_spectral_norm_lanczos_replay_over_the_budget_agrees_with_the_reference_loop():
+    panel = over_budget_panel()
+    assert all(min(X.shape) ** 2 > tisp.solver._GRAM_SQUARE_ENTRIES for X in panel.values())
+    assert_agrees_with_the_reference_loop(panel)
+
+
+def test_spectral_norm_squared_path_agrees_with_the_reference_loop():
+    # B = A A takes two steps a product
+    panel = norm_panel()
+    assert all(min(X.shape) ** 2 <= tisp.solver._GRAM_SQUARE_ENTRIES for X in panel.values())
+    assert_agrees_with_the_reference_loop(panel)
 
 
 @pytest.mark.parametrize("budget", [0, 1 << 19])
@@ -171,6 +173,24 @@ def test_spectral_norm_is_exact_under_power_of_two_scaling(monkeypatch, budget):
     assert spectral_norm(1e100 * np.eye(3)) == pytest.approx(1e100, rel=1e-15)
     with pytest.raises(ConfigurationError, match="below the design spectral norm"):
         scale_problem(Problem(1e100 * np.eye(3), np.ones(3)), 1.0)
+
+
+@pytest.mark.parametrize("budget", [0, 1 << 19])
+def test_spectral_norm_of_designs_whose_gram_leaves_the_floats(monkeypatch, budget):
+    # beyond about 1e+-154 the Gram over- or underflows before it is scaled:
+    # it read nan at 2**520 and 0.0 at 2**-560; a non-finite X read nan
+    # after 25,000 products
+    monkeypatch.setattr(tisp.solver, "_GRAM_SQUARE_ENTRIES", budget)
+    X = np.random.default_rng(5).standard_normal((30, 20))
+    norm = spectral_norm(X)
+    for c in (2.0 ** 520, 2.0 ** -520, 2.0 ** -560):
+        assert spectral_norm(c * X) == c * norm
+    assert spectral_norm(np.full((2, 2), 1e308)) == math.inf  # 2e308
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="X must be finite"):
+            spectral_norm(np.array([[bad, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ConfigurationError, match="below the design spectral norm"):
+        scale_problem(Problem(2.0 ** 520 * X, np.ones(30)), 1.0)
 
 
 def test_spectral_norm_squares_the_gram_only_within_its_memory_budget():
@@ -535,6 +555,31 @@ def test_alpha_solve_matches_rescaled_problem():
     res_b = solve(shrunk, SolverConfig(rule=rule(f"soft(lambda={alpha * lam})"),
                                        rho=rho, tol=1e-12))
     assert np.max(np.abs(res_a.beta - res_b.beta)) <= 1e-8
+
+
+def test_recorded_objective_descends_at_alpha_below_one():
+    # the alpha-damped iteration descends 0.5*||y - Xs b||^2 plus the
+    # transformed rule's penalty over alpha, which differs from the original
+    # penalty for hard and hard-ridge; the trace recorded the original one,
+    # which rose (hard-ridge from about iteration 20, hard from about 200)
+    specs = [PenaltySpec(r) for r in rule_catalog(lam=0.6, eta=0.5, gamma=2.5)
+             if r.kind not in ("scad", "lr")]
+    specs += [PenaltySpec(rule("hard(lambda=0.6)"), "capped-l1"),
+              PenaltySpec(rule("hard(lambda=0.6)"), "l0"),
+              PenaltySpec(rule("hard-ridge(lambda=0.6,eta=0.5)"), "l0+l2")]
+    hard_kinds = ("hard", "hard-ridge")  # the kinds whose transform moves the penalty
+    cases = [(seed, spec, alpha, 60) for seed in range(200) for spec in specs
+             if seed < 20 or spec.rule.kind in hard_kinds for alpha in (0.3, 0.5, 0.9)]
+    hard = PenaltySpec(rule("hard(lambda=0.6)"))
+    cases += [(89, hard, 0.3, 1000), (95, hard, 0.5, 1000)]  # hard's later rises
+    for seed, group in itertools.groupby(cases, key=lambda case: case[0]):
+        rng = np.random.default_rng(seed)
+        prob = Problem(rng.standard_normal((30, 60)) / math.sqrt(30), 2.0 * rng.standard_normal(30))
+        for _, spec, alpha, max_iter in group:
+            res = solve(prob, SolverConfig(rule=spec.rule, alpha=alpha, max_iter=max_iter,
+                                           augmentation=spec.augmentation))
+            objs = res.trace.objective
+            assert all(b - a <= 1e-12 * abs(a) for a, b in zip(objs, objs[1:])), (spec, alpha, seed)
 
 
 def test_alpha_below_one_rejected_at_solve_for_scad():

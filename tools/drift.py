@@ -5,9 +5,11 @@
 Imports `tisp` and `perfbench.workloads` from each checkout in its own
 subprocess and runs there, every solve recorded: perfbench's decay-large
 spec (`decay_large_spec`), the acceptance decay and rate specs
-(`experiment_specs`, written by `run_experiments`) and a small all-kinds
+(`experiment_specs`, written by `run_experiments`), a small all-kinds
 decay spec (gaussian-iid 100x60, J*=4, seeds 0-2, one rule of each of the
-nine kinds).  It also runs the oracles: `l0_global_min` at lambda 0.5 and
+nine kinds) and cli-solve's solve: soft at the theory lambda, tol 1e-8, on
+the arrays `cli_instance` gives `tisp simulate`, regenerated as
+`CliSolve.setup` does.  It also runs the oracles: `l0_global_min` at lambda 0.5 and
 rho = 1.05 ||X||_2 on 40 of criterion 6's instances (`MultiStart.setup`),
 and `coordinate_descent_local_min` with `check_theta_equation` for soft,
 mcp and scad on criterion 5's 20 (rng 5000 + i).  `--size tiny` runs
@@ -17,7 +19,7 @@ each output it prints the largest relative difference |a - b| / max(|a|,
 
 - the written result rows (`write_results_csv`), per column
 - the written summary (`write_summary_json`), per key
-- per solve, the estimate and the recorded trace columns
+- per solve, its rho, the estimate and the recorded trace columns
 - per oracle call, its coefficients, objective, minimum magnitude or
   certificate residual
 
@@ -54,6 +56,7 @@ def recording(problem, config, start=None):
     res = solve(problem, config, start)
     t = res.trace
     solves.append({"iterations": res.iterations, "reason": res.reason, "support": t.support,
+                   "rho": res.rho,
                    "flagged": t.flagged, "beta": res.beta.tolist(), "objective": t.objective,
                    "fp_residual": t.fp_residual, "pred_err": t.pred_err, "est_err": t.est_err,
                    "weighted_err": t.weighted_err, "theta_residual": res.theta_residual})
@@ -81,7 +84,19 @@ for name, spec in (("decay-large", workloads.decay_large_spec(SIZE)), ("all-kind
     solves.clear()
 *_, pair = workloads.run_experiments(*workloads.experiment_specs(SIZE))
 out["acceptance-decay"], out["acceptance-rate"] = pair["decay"], pair["rate"]
-records["acceptance solve"] = solves
+records["acceptance solve"] = solves[:]
+solves.clear()
+
+doc = workloads.cli_instance(SIZE)  # as CliSolve.setup regenerates what `tisp simulate` wrote
+spec = simulate.ExperimentSpec.from_dict(doc)
+lam = simulate.resolve_lambda(spec, spec.p)
+X = simulate.gen_design(spec, 0)
+beta_star = simulate.gen_beta_star(spec, 0, lam=lam)
+y = simulate.gen_response(X, beta_star, spec.sigma, spec.noise_kind, 0)
+config = solver.SolverConfig(rule=thresholding.parse_rule(f"soft(lambda={lam!r})"),
+                             tol=workloads.CliSolve.TOL)
+recording(solver.Problem(X, y, beta_star=beta_star), config)
+records["cli-solve solve"] = solves
 
 ms = workloads.MultiStart(0, SIZE, ".")
 ms.n_instances = 40 if FULL else 8  # more of criterion 6's instances than a pass solves
