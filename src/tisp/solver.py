@@ -422,14 +422,19 @@ def spectral_norm(X) -> float:
     lam_k = sqrt(m_(2k+2) / m_(2k)) under the same stop test.  It replays
     every `_REPLAY_EVERY` steps and ends when two successive replays stop
     at the same step with estimates within 2 ulps, or at a breakdown (T_j
-    then holds every moment).  Lost orthogonality adds copies of converged
-    eigenvalues to T_j, not errors to its moments (Greenbaum, Linear
-    Algebra Appl. 113, 1989), and one Lanczos step stands for about eight
-    power steps on the decay-large design.  Both paths return the power
-    loop's estimate at its stop step, to a few ulps, not T_j's top
-    eigenvalue: every rho="auto" and every guard rho >= ||X||_2 reads that
-    estimate, and the top eigenvalue lies above it (by about 4e-7 relative
-    on the decay-large design).
+    then holds every moment), or at j = m, the order of A, where exact
+    arithmetic breaks down.  So it takes at most m products with A and
+    keeps a few m-vectors beside it; a replay's products with the
+    five-diagonal T_j T_j take O(j) time and memory.  Lost orthogonality
+    adds copies of converged eigenvalues to T_j, not errors to its moments
+    (Greenbaum, Linear Algebra Appl. 113, 1989), and one Lanczos step
+    stands for about eight power steps on the decay-large design.  Under
+    the budget the squared loop is the faster: there the replays, each a
+    Python loop of power steps, cost more than the products they save.
+    Both paths return the power loop's estimate at its stop step, to a few
+    ulps, not T_j's top eigenvalue: every rho="auto" and every guard rho >=
+    ||X||_2 reads that estimate, and the top eigenvalue lies above it (by
+    about 4e-7 relative on the decay-large design).
 
     Both paths first scale A by 2^-e, e the even exponent at or below that
     of A's largest entry (on its diagonal), and unscale the estimate by
@@ -462,7 +467,8 @@ def _norm_and_steps(X) -> tuple[float, int]:
     e = math.frexp(d)[1] & ~1  # even: sqrt unscales exactly
     np.ldexp(A, -e, out=A)
     if A.size <= _GRAM_SQUARE_ENTRIES:
-        lam, steps = _power_squared(A @ A.T, _start_vector(A.shape[0]))  # one syrk: A is symmetric
+        # one syrk (A is symmetric); B goes with the partial when the loop returns
+        lam, steps = _power_squared(functools.partial(np.matmul, A @ A.T), _start_vector(A.shape[0]))
     else:
         lam, steps = _lanczos_replay(A)
     try:
@@ -477,13 +483,14 @@ def _start_vector(m):
     return v
 
 
-def _power_squared(B, v):
+def _power_squared(times, v):
     """(top eigenvalue estimate of A, steps) of the power loop on A from the
-    unit v, two steps per product with B = A A; v is overwritten."""
+    unit v, two steps per product times(v, out=u) = B v with B = A A; v is
+    overwritten."""
     u = np.empty_like(v)
     lam_prev = 0.0
     for k in range(0, 50000, 2):
-        np.matmul(B, v, out=u)
+        times(v, out=u)
         lam = math.sqrt(max(np.dot(v, u), 0.0))  # below 0 only by rounding at A v = 0
         if lam == 0.0:
             return 0.0, k + 1
@@ -501,10 +508,11 @@ def _power_squared(B, v):
 def _lanczos_replay(A):
     """(top eigenvalue estimate of A, steps) of the power loop on A, replayed
     on Lanczos tridiagonals as `spectral_norm` describes."""
-    q = _start_vector(A.shape[0])
+    m = A.shape[0]
+    q = _start_vector(m)
     q_prev, u = np.zeros_like(q), np.empty_like(q)
     alphas, betas, beta, last = [], [], 0.0, None
-    for j in range(1, 50001):
+    for j in range(1, m + 1):
         np.matmul(A, q, out=u)
         if beta:
             u -= beta * q_prev
@@ -513,34 +521,39 @@ def _lanczos_replay(A):
         beta = math.sqrt(np.dot(u, u))
         alphas.append(alpha)
         betas.append(beta)
-        if beta == 0.0 or j % _REPLAY_EVERY == 0:
+        if beta == 0.0 or j % _REPLAY_EVERY == 0 or j == m:
             e1 = np.zeros(j)
             e1[0] = 1.0
             got = _power_squared(_tridiagonal_square(alphas, betas[:-1]), e1)
-            if beta == 0.0 or (last is not None and got[1] == last[1]
-                               and abs(got[0] - last[0]) <= 2 * math.ulp(got[0])):
+            # in exact arithmetic beta is 0 by j = m: T_m holds every moment
+            if beta == 0.0 or j == m or (last is not None and got[1] == last[1]
+                                         and abs(got[0] - last[0]) <= 2 * math.ulp(got[0])):
                 return got
             last = got
         q_prev, q, u = q, u, q_prev
         q /= beta
-    return got
 
 
 def _tridiagonal_square(a, b):
-    """T T, dense, for the symmetric tridiagonal T with diagonal a and
-    off-diagonal b.  Formed entry by entry: a LAPACK or matrix-matrix BLAS
-    call would add its code pages, about 1 MB, to the peak RSS the Gram sets."""
+    """times(v, out) writing T T v to out, for the symmetric tridiagonal T
+    of order j with diagonal a and off-diagonal b: T T has five diagonals,
+    so a product takes O(j) time and memory.  No LAPACK or matrix-matrix
+    BLAS call: either would add its code pages, about 1 MB, to the peak RSS
+    the Gram sets."""
     a, b = np.array(a), np.array(b)
     main = a * a
     main[1:] += b * b
     main[:-1] += b * b
     near, far = b * (a[:-1] + a[1:]), b[:-1] * b[1:]
-    B = np.zeros((a.size, a.size))
-    flat, step = B.reshape(-1), a.size + 1  # flat[d::step] runs down the diagonal d right of the main one
-    flat[::step] = main
-    flat[1::step] = flat[step - 1::step] = near
-    flat[2::step][:far.size] = flat[2 * step - 2::step] = far
-    return B
+
+    def times(v, out):
+        np.multiply(main, v, out=out)
+        out[:-1] += near * v[1:]
+        out[1:] += near * v[:-1]
+        out[:-2] += far * v[2:]
+        out[2:] += far * v[:-2]
+
+    return times
 
 
 def scale_problem(problem: Problem, rho: float):

@@ -153,6 +153,14 @@ def test_spectral_norm_lanczos_replay_over_the_budget_agrees_with_the_reference_
     assert_agrees_with_the_reference_loop(panel)
 
 
+def test_spectral_norm_lanczos_replay_ends_at_the_order_of_the_gram(monkeypatch):
+    # with no replay due before it, the run ends at j = m, where exact
+    # arithmetic breaks down; without that bound it ran on to 50000 steps
+    monkeypatch.setattr(tisp.solver, "_GRAM_SQUARE_ENTRIES", 0)
+    monkeypatch.setattr(tisp.solver, "_REPLAY_EVERY", 10 ** 9)
+    assert_agrees_with_the_reference_loop(norm_panel())
+
+
 def test_spectral_norm_squared_path_agrees_with_the_reference_loop():
     # B = A A takes two steps a product
     panel = norm_panel()
