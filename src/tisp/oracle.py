@@ -13,6 +13,7 @@ L0 objective, `_l0_objectives`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import NamedTuple
@@ -276,15 +277,17 @@ class RegularityProbeConfig:
     def __post_init__(self):
         if self.assumption not in ASSUMPTIONS:
             raise ValueError(f"unknown assumption {self.assumption!r}; choose from {ASSUMPTIONS}")
-        if not (self.delta > 0 and self.vartheta > 0 and self.K >= 0):
-            raise ValueError("need delta > 0, vartheta > 0, K >= 0")
+        if not (0 < self.delta < math.inf and 0 < self.vartheta < math.inf and 0 <= self.K < math.inf):
+            raise ValueError("need finite delta > 0, vartheta > 0, K >= 0")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError("lam must be >= 0")
-        if self.num_samples < 1:
-            raise ValueError("num_samples must be >= 1")
+        if not (isinstance(self.num_samples, numbers.Integral) and self.num_samples >= 1):
+            raise ValueError("num_samples must be an integer >= 1")
         if not (math.isfinite(self.sample_radius) and self.sample_radius > 0):
             raise ValueError("sample_radius must be > 0")
         object.__setattr__(self, "reference_beta", tuple(float(v) for v in self.reference_beta))
+        if not all(map(math.isfinite, self.reference_beta)):
+            raise ValueError("reference_beta must be finite")
 
 
 class ProbeResult(NamedTuple):
@@ -308,42 +311,46 @@ def regularity_slack(assumption: str, X, beta, beta_prime, rule: th.ThresholdRul
 
     with d = b' - b, PH the hard-threshold penalty summed over components,
     PT the rule's induced penalty, L the rule's contraction constant, and
-    J(b) the support size of b.
+    J(b) the support size of b.  X is n x p and both vectors have shape (p,).
     """
     if assumption not in ASSUMPTIONS:
         raise ValueError(f"unknown assumption {assumption!r}")
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"X has shape {X.shape}, expected a matrix")
     beta = np.asarray(beta, dtype=float)
     beta_prime = np.asarray(beta_prime, dtype=float)
+    for name, v in (("beta", beta), ("beta_prime", beta_prime)):
+        if v.shape != (X.shape[1],):
+            raise ValueError(f"{name} has shape {v.shape}, expected ({X.shape[1]},)")
+    return float(_slacks(assumption, X, beta, beta_prime[None], rule, lam, delta, vartheta, K)[0])
+
+
+# slack = c_xd*||Xd||^2 + PT(b') - vt*PH(d) - c_l2*||d||^2 + tail: per
+# assumption, (c_xd, c_l2, tail) from (delta, L, K, PT(b), lam^2*J(b))
+_SLACK_TERMS = {
+    "R0": lambda dl, L, K, pt, j: ((2.0 - dl) / 2.0, L / 2.0, K * pt),
+    "R1": lambda dl, L, K, pt, j: ((2.0 - dl) / 2.0, L / 2.0, K * j - pt),
+    "S0": lambda dl, L, K, pt, j: (1.0, (L + dl) / 2.0, K * pt),
+    "S1": lambda dl, L, K, pt, j: (1.0, (L + dl) / 2.0, (K + 1.0) * j - pt),
+}
+
+
+def _slacks(assumption, X, beta, P, rule, lam, delta, vartheta, K) -> np.ndarray:
+    """`regularity_slack` at (beta, b') for every row b' of P: one product
+    with X, the penalties as row sums, PT(beta) and J(beta) once."""
+    if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(P))):
+        raise ValueError("penalty input must be finite")
     spec = pen.PenaltySpec(rule=rule)
-    d = beta_prime - beta
-    ph_d = float(np.sum(pen.penalty_hard(d, lam)))
-    l2 = float(d @ d)
-    xd = X @ d
-    xd2 = float(xd @ xd)
-    pt_b = float(np.sum(pen.penalty_theta(spec, beta, lam_override=_lam_arg(rule, lam))))
-    pt_bp = float(np.sum(pen.penalty_theta(spec, beta_prime, lam_override=_lam_arg(rule, lam))))
-    j_b = int(np.count_nonzero(beta))
-    L = rule.contraction
-
-    if assumption == "R0":
-        lhs = vartheta * ph_d + 0.5 * L * l2
-        rhs = 0.5 * (2.0 - delta) * xd2 + pt_bp + K * pt_b
-    elif assumption == "R1":
-        lhs = vartheta * ph_d + 0.5 * L * l2 + pt_b
-        rhs = 0.5 * (2.0 - delta) * xd2 + pt_bp + K * lam * lam * j_b
-    elif assumption == "S0":
-        lhs = vartheta * ph_d + 0.5 * (L + delta) * l2
-        rhs = xd2 + pt_bp + K * pt_b
-    else:
-        lhs = vartheta * ph_d + 0.5 * (L + delta) * l2 + pt_b
-        rhs = xd2 + pt_bp + (K + 1.0) * lam * lam * j_b
-    return rhs - lhs
-
-
-def _lam_arg(rule: th.ThresholdRule, lam: float):
-    # ridge and lr penalties take no threshold; others evaluate at the probe lam
-    return lam if rule.kind in th.LAMBDA_KINDS else None
+    lam_pt = lam if rule.kind in th.LAMBDA_KINDS else None  # ridge and lr take no threshold
+    D = P - beta
+    XD = D @ X.T
+    pt_b = float(pen._penalty_z(spec, np.abs(beta), lam_pt).sum())
+    c_xd, c_l2, tail = _SLACK_TERMS[assumption](
+        delta, rule.contraction, K, pt_b, lam * lam * np.count_nonzero(beta))
+    return (c_xd * np.einsum("ij,ij->i", XD, XD) + pen._penalty_z(spec, np.abs(P), lam_pt).sum(axis=1)
+            - vartheta * pen.penalty_hard(D, lam).sum(axis=1) - c_l2 * np.einsum("ij,ij->i", D, D)
+            + tail)
 
 
 def probe_regularity(config: RegularityProbeConfig, problem: Problem,
@@ -351,10 +358,11 @@ def probe_regularity(config: RegularityProbeConfig, problem: Problem,
     """Minimum sampled slack of a comparison inequality on a problem's design.
 
     Negative minimum slack certifies a violation (the returned ``argmin`` is
-    the violating second vector); nonnegative slack over the samples is
-    evidence only, since the inequalities quantify over all of R^p.
+    the violating second vector, the first of tied minima); nonnegative
+    slack over the samples is evidence only, since the inequalities
+    quantify over all of R^p.  Every probe's slack comes from one stacked
+    evaluation.
     """
-    X = problem.X
     p = problem.p
     beta = np.array(config.reference_beta, dtype=float)
     if beta.shape != (p,):
@@ -362,35 +370,25 @@ def probe_regularity(config: RegularityProbeConfig, problem: Problem,
     r = config.sample_radius
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 4]))
 
-    probes = [beta.copy()]
-    for j in range(p):
-        e = np.zeros(p)
-        e[j] = r
-        probes.append(beta + e)
-        probes.append(beta - e)
+    # beta, then beta +- r e_j per coordinate, then per sample a dense and a
+    # sparse Gaussian direction at radius r, in the draw order of the rng
     sparse_size = max(1, p // 10)
+    steps = []
     for _ in range(config.num_samples):
         g = rng.standard_normal(p)
-        probes.append(beta + r * g / np.linalg.norm(g))
         idx = rng.choice(p, size=sparse_size, replace=False)
         s = np.zeros(p)
         s[idx] = rng.standard_normal(sparse_size)
-        probes.append(beta + r * s / np.linalg.norm(s))
+        steps += [r * g / np.linalg.norm(g), r * s / np.linalg.norm(s)]
+    E = r * np.eye(p)
+    P = np.concatenate([beta[None], np.stack([beta + E, beta - E], axis=1).reshape(2 * p, p),
+                        beta + np.array(steps)])
 
-    min_slack, argmin = math.inf, probes[0]
-    for bp in probes:
-        slack = regularity_slack(
-            config.assumption, X, beta, bp, rule,
-            config.lam, config.delta, config.vartheta, config.K,
-        )
-        if slack < min_slack:
-            min_slack, argmin = slack, bp
-    return ProbeResult(
-        min_slack=float(min_slack),
-        argmin=np.asarray(argmin),
-        violated=min_slack < 0.0,
-        num_evaluated=len(probes),
-    )
+    slacks = _slacks(config.assumption, problem.X, beta, P, rule,
+                     config.lam, config.delta, config.vartheta, config.K)
+    low = float(slacks.min(initial=math.inf, where=slacks == slacks))  # NaN never wins
+    i = int(np.argmax(slacks == low)) if low < math.inf else 0  # the first least
+    return ProbeResult(min_slack=low, argmin=P[i].copy(), violated=low < 0.0, num_evaluated=len(P))
 
 
 def minimax_reference(j: int, p: int, sigma: float) -> float:

@@ -128,8 +128,8 @@ def _base_problems(spec: ExperimentSpec) -> list:
     if spec.lambda_policy not in LAMBDA_POLICIES:
         out.append(f"lambda_policy must be one of {LAMBDA_POLICIES}")
     elif spec.lambda_policy == "explicit":
-        if spec.lambda_value is None or spec.lambda_value < 0:
-            out.append("explicit lambda_policy needs lambda_value >= 0")
+        if spec.lambda_value is None or not (0 <= spec.lambda_value < math.inf):
+            out.append("explicit lambda_policy needs a finite lambda_value >= 0")
     elif not (math.isfinite(spec.A) and spec.A > 0):
         out.append("theory lambda_policy needs A > 0")
     if spec.schedule is not None:

@@ -765,9 +765,15 @@ class SolveResult:
 
 
 def resolve_rho(problem: Problem, config: SolverConfig) -> float:
-    """Concrete rho for a config: auto picks (1 + eps) * ||X||_2."""
+    """Concrete rho for a config: auto picks (1 + eps) * ||X||_2, and raises
+    `ConfigurationError` when that passes the largest float."""
     if isinstance(config.rho, str):
-        return (1.0 + config.rho_epsilon) * problem.norm
+        rho = (1.0 + config.rho_epsilon) * problem.norm
+        if math.isinf(rho):
+            raise ConfigurationError(
+                f"the design spectral norm overflows: rho='auto' = (1 + {config.rho_epsilon:g})"
+                f" * {problem.norm:.6g} passes the largest float")
+        return rho
     return float(config.rho)
 
 

@@ -73,6 +73,18 @@ def test_solve_rho_below_norm_fails(capsys, scalar_files):
     assert "below the design spectral norm" in err
 
 
+def test_solve_overflowing_design_norm_fails(capsys, tmp_path, scalar_files):
+    _, response = scalar_files
+    design = tmp_path / "huge.csv"
+    design.write_text("1e308,1e308\n1e308,1e308\n")
+    response.write_text("1.0\n1.0\n")
+    code, out, err = run(capsys, ["solve", "--design", str(design),
+                                  "--response", str(response),
+                                  "--rule", "soft(lambda=1)"])
+    assert code == 1 and out == ""
+    assert "design spectral norm overflows" in err
+
+
 def test_solve_bad_rule(capsys, scalar_files):
     design, response = scalar_files
     code, out, err = run(capsys, ["solve", "--design", str(design),

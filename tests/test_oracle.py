@@ -17,9 +17,9 @@ from tisp.oracle import (
     probe_regularity,
     regularity_slack,
 )
-from tisp.penalty import PenaltySpec, penalty_theta
+from tisp.penalty import PenaltySpec, penalty_hard, penalty_theta
 from tisp.solver import ConfigurationError, Problem, SolverConfig, solve, spectral_norm
-from tisp.thresholding import apply_vec, parse_rule, rule_catalog
+from tisp.thresholding import LAMBDA_KINDS, apply_vec, parse_rule, rule_catalog
 
 
 def rule(text):
@@ -421,6 +421,115 @@ def test_probe_config_validation():
                      ("K", -0.5), ("lam", -1.0), ("num_samples", 0),
                      ("sample_radius", 0.0)]:
         with pytest.raises(ValueError):
+            RegularityProbeConfig(**{**good, key: bad})
+
+
+def regularity_slack_reference(assumption, X, beta, beta_prime, rule, lam, delta, vartheta, K):
+    # the reference: one pair per call, each inequality's two sides written out
+    spec = PenaltySpec(rule=rule)
+    lam_pt = lam if rule.kind in LAMBDA_KINDS else None
+    d = beta_prime - beta
+    ph_d = float(np.sum(penalty_hard(d, lam)))
+    l2 = float(d @ d)
+    xd = X @ d
+    xd2 = float(xd @ xd)
+    pt_b = float(np.sum(penalty_theta(spec, beta, lam_override=lam_pt)))
+    pt_bp = float(np.sum(penalty_theta(spec, beta_prime, lam_override=lam_pt)))
+    j_b = int(np.count_nonzero(beta))
+    L = rule.contraction
+    if assumption == "R0":
+        lhs = vartheta * ph_d + 0.5 * L * l2
+        rhs = 0.5 * (2.0 - delta) * xd2 + pt_bp + K * pt_b
+    elif assumption == "R1":
+        lhs = vartheta * ph_d + 0.5 * L * l2 + pt_b
+        rhs = 0.5 * (2.0 - delta) * xd2 + pt_bp + K * lam * lam * j_b
+    elif assumption == "S0":
+        lhs = vartheta * ph_d + 0.5 * (L + delta) * l2
+        rhs = xd2 + pt_bp + K * pt_b
+    else:
+        lhs = vartheta * ph_d + 0.5 * (L + delta) * l2 + pt_b
+        rhs = xd2 + pt_bp + (K + 1.0) * lam * lam * j_b
+    return rhs - lhs
+
+
+def loop_probes(config, p):
+    # the probes as a list, drawn one at a time
+    beta = np.array(config.reference_beta)
+    r = config.sample_radius
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 4]))
+    probes = [beta.copy()]
+    for j in range(p):
+        e = np.zeros(p)
+        e[j] = r
+        probes.append(beta + e)
+        probes.append(beta - e)
+    sparse_size = max(1, p // 10)
+    for _ in range(config.num_samples):
+        g = rng.standard_normal(p)
+        probes.append(beta + r * g / np.linalg.norm(g))
+        idx = rng.choice(p, size=sparse_size, replace=False)
+        s = np.zeros(p)
+        s[idx] = rng.standard_normal(sparse_size)
+        probes.append(beta + r * s / np.linalg.norm(s))
+    return probes
+
+
+@pytest.mark.parametrize("n,p", [(10, 6), (40, 20), (400, 200)])
+def test_stacked_slacks_match_the_reference_loop(n, p, monkeypatch):
+    stacked = []  # the probes probe_regularity hands the evaluator
+    slacks = oracle._slacks
+    monkeypatch.setattr(oracle, "_slacks", lambda *a: stacked.append(a[3]) or slacks(*a))
+    rng = np.random.default_rng(19 + p)
+    X = rng.standard_normal((n, p)) / math.sqrt(n)
+    ref_beta = np.zeros(p)
+    ref_beta[rng.choice(p, size=max(2, p // 20), replace=False)] = 2.0 * rng.standard_normal(max(2, p // 20))
+    prob = Problem(X, np.zeros(n))
+    for assumption in ASSUMPTIONS:
+        cfg = RegularityProbeConfig(assumption=assumption, delta=1.0, vartheta=0.5, K=0.5,
+                                    lam=1.0, reference_beta=ref_beta, sample_radius=3.0, seed=p)
+        probes = loop_probes(cfg, p)
+        for r in rule_catalog():
+            args = (r, cfg.lam, cfg.delta, cfg.vartheta, cfg.K)
+            want = np.array([regularity_slack_reference(assumption, X, ref_beta, bp, *args)
+                             for bp in probes])
+            got = slacks(assumption, X, ref_beta, np.array(probes), *args)
+            # relative to the largest slack: every probe sits at the same
+            # radius, and a slack near zero is a difference of terms that size
+            tol = 1e-12 * np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= tol, (assumption, r.kind)
+
+            min_slack, argmin = math.inf, probes[0]  # the strict < scan
+            for bp, slack in zip(probes, want):
+                if slack < min_slack:
+                    min_slack, argmin = slack, bp
+            out = probe_regularity(cfg, prob, r)
+            assert np.array_equal(stacked.pop(), probes), (assumption, r.kind)
+            assert np.array_equal(out.argmin, argmin), (assumption, r.kind)
+            assert abs(out.min_slack - min_slack) <= tol
+            assert out.violated == (min_slack < 0)
+            assert out.num_evaluated == len(probes) == 1 + 2 * p + 2 * cfg.num_samples
+
+
+def test_regularity_slack_refuses_mismatched_shapes():
+    r = rule("soft(lambda=1)")
+    for beta, beta_prime in [(np.array([1.0]), np.array([2.0, 0, 0])),
+                             (np.zeros(3), np.zeros(2)), (np.zeros((1, 3)), np.zeros(3))]:
+        with pytest.raises(ValueError, match="has shape"):
+            regularity_slack("R0", np.eye(3), beta, beta_prime, r, 1, 1, .5, 1)
+    with pytest.raises(ValueError, match="expected a matrix"):
+        regularity_slack("R0", np.ones(3), np.zeros(3), np.zeros(3), r, 1, 1, .5, 1)
+
+
+def test_probe_config_refuses_non_finite_values():
+    good = dict(assumption="R0", delta=1.0, vartheta=0.5, K=0.0, lam=1.0,
+                reference_beta=np.zeros(3))
+    with pytest.raises(ValueError, match="num_samples must be an integer"):
+        RegularityProbeConfig(**good, num_samples=2.5)
+    for key, bad in [("delta", math.inf), ("vartheta", math.inf), ("K", math.inf),
+                     ("delta", math.nan), ("K", math.nan),
+                     ("reference_beta", [0.0, math.nan, 1.0]),
+                     ("reference_beta", [math.inf, 0.0, 1.0])]:
+        with pytest.raises(ValueError, match="finite"):
             RegularityProbeConfig(**{**good, key: bad})
 
 

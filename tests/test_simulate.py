@@ -63,6 +63,16 @@ def test_from_dict_rejects_bad_configs():
         ExperimentSpec.from_dict([1, 2])
 
 
+def test_from_dict_refuses_a_non_finite_lambda_value():
+    # json.load reads NaN and Infinity; both are refused with the schema
+    for text in ("NaN", "Infinity"):
+        doc = json.loads('{"ensemble": "gaussian-iid", "n": 20, "p": 10, "J_star": 2,'
+                         ' "lambda_policy": "explicit", "lambda_value": %s,'
+                         ' "signal_magnitude": 3.0}' % text)
+        with pytest.raises(SpecError, match="needs a finite lambda_value >= 0"):
+            ExperimentSpec.from_dict(doc)
+
+
 def test_resolve_lambda():
     spec = ExperimentSpec(ensemble="gaussian-iid", sigma=2.0, A=1.5)
     assert resolve_lambda(spec, 50) == theory_threshold(2.0, 50, a_const=1.5)

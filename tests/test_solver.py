@@ -258,6 +258,20 @@ def test_resolve_rho():
     assert resolve_rho(prob, cfg2) == 7.5
 
 
+def test_auto_rho_blames_an_overflowing_design_norm():
+    # a finite design whose norm, or (1 + eps) times it, passes the largest
+    # float: rho="auto" names the norm, an explicit rho keeps its message
+    soft = rule("soft(lambda=1)")
+    for X in (np.full((2, 2), 1e308), np.full((2, 2), 0.89e308)):
+        prob = Problem(X, np.ones(2))
+        with pytest.raises(ConfigurationError, match="design spectral norm overflows"):
+            solve(prob, SolverConfig(rule=soft))
+        with pytest.raises(ConfigurationError, match="design spectral norm overflows"):
+            resolve_rho(prob, SolverConfig(rule=soft))
+    with pytest.raises(ConfigurationError, match="below the design spectral norm inf"):
+        solve(Problem(np.full((2, 2), 1e308), np.ones(2)), SolverConfig(rule=soft, rho=1.7e308))
+
+
 def test_problem_norm_is_the_cached_spectral_norm(norm_calls):
     prob = random_problem(3, n=9, p=14)
     assert prob.norm == prob.norm
@@ -544,6 +558,40 @@ def test_stepsize_transform_scales_penalty():
             assert np.allclose(got, want, atol=1e-12), (r.kind, alpha)
             if r.lam is not None:
                 assert r_a.lam == pytest.approx(lam_scale * r.lam)
+
+
+def test_alpha_objective_on_the_transformed_rules_full_range():
+    # f_alpha's penalty P_alpha(u)/alpha against the original P on [0, 4 lam],
+    # past the least nonzero outputs of Theta_alpha (m_a) and Theta (m) and
+    # their float neighbours: equal where the transform scales the penalty
+    # exactly; for hard and hard-ridge without an L0-type augmentation it
+    # differs on [m_a, m), outputs of Theta_alpha that Theta never gives
+    # (m_a = sqrt(alpha)*lam for hard), and agrees from m on.  capped-l1's min(lam u, lam^2/2) is
+    # flat there at alpha >= 1/4 and differs only below m_a, off the range
+    augmentations = {"hard": ("none", "capped-l1", "l0"), "hard-ridge": ("none", "l0+l2")}
+    exact = {("hard", "l0"), ("hard-ridge", "l0+l2")}
+    for r in rule_catalog(lam=0.9, eta=0.4, gamma=2.5):
+        if r.kind in ("scad", "lr"):
+            continue
+        lam = r.lam or 0.9
+        for alpha in (0.3, 0.5, 0.9):
+            r_a, _ = stepsize_transform(r, alpha)
+            # lam/(1 + eta) starts the outputs of hard (eta = 0) and hard-ridge
+            m_a, m = ((q.lam or 0.0) / (1.0 + (q.eta or 0.0)) for q in (r_a, r))
+            marks = np.array([math.sqrt(alpha) * lam, lam, m_a, m])
+            u = np.unique(np.concatenate([np.linspace(0.0, 4.0 * lam, 2001), marks,
+                                          np.nextafter(marks, 0.0), np.nextafter(marks, np.inf)]))
+            for aug in augmentations.get(r.kind, ("none",)):
+                got = penalty_theta(PenaltySpec(rule=r_a, augmentation=aug), u) / alpha
+                want = penalty_theta(PenaltySpec(rule=r, augmentation=aug), u)
+                differs = np.abs(got - want) > 1e-12 * np.abs(want)
+                case = (r.kind, aug, alpha)
+                if r.kind not in augmentations or (r.kind, aug) in exact:
+                    assert not differs.any(), case
+                elif aug == "none":
+                    assert differs[(u >= m_a) & (u < m)].any() and not differs[u >= m].any(), case
+                else:
+                    assert not differs[u >= m_a].any() and differs[u < m_a].any(), case
 
 
 def test_stepsize_transform_identity_at_one():

@@ -9,24 +9,29 @@ spec (`decay_large_spec`), the acceptance decay and rate specs
 decay spec (gaussian-iid 100x60, J*=4, seeds 0-2, one rule of each of the
 nine kinds) and cli-solve's solve: soft at the theory lambda, tol 1e-8, on
 the arrays `cli_instance` gives `tisp simulate`, regenerated as
-`CliSolve.setup` does.  It also runs the oracles: `l0_global_min` at lambda 0.5 and
-rho = 1.05 ||X||_2 on 40 of criterion 6's instances (`MultiStart.setup`),
-and `coordinate_descent_local_min` with `check_theta_equation` for soft,
-mcp and scad on criterion 5's 20 (rng 5000 + i).  `--size tiny` runs
-perfbench's tiny specs and 8 and 5 oracle instances, for a quick look.  For
-each output it prints the largest relative difference |a - b| / max(|a|,
-|b|) and the path where it occurs:
+`CliSolve.setup` does.  It also runs the oracles: `l0_global_min` at
+lambda 0.5 and rho = 1.05 ||X||_2 on 40 of criterion 6's instances
+(`MultiStart.setup`), `coordinate_descent_local_min` with
+`check_theta_equation` for soft, mcp and scad on criterion 5's 20 (rng
+5000 + i), and `probe_regularity` (delta 1, vartheta 0.5, K 0.5) for the
+four assumptions and soft, hard, mcp and scad on the regularity verify
+suite's 10x6 instance and on the acceptance decay design at seed 0.
+`--size tiny` runs perfbench's tiny specs, 8 and 5 oracle instances and
+the 10x6 probes only, for a quick look.  For each output it prints the
+largest relative difference |a - b| / max(|a|, |b|) and the path where it
+occurs:
 
 - the written result rows (`write_results_csv`), per column
 - the written summary (`write_summary_json`), per key
 - per solve, its rho, the estimate and the recorded trace columns
-- per oracle call, its coefficients, objective, minimum magnitude or
-  certificate residual
+- per oracle call, its coefficients, objective, minimum magnitude,
+  certificate residual or minimum slack and its probe
 
 Then it says whether every solve's iteration count, support sizes and
 `flagged` iterations, and every oracle call's support, gap flag, sweep
-count, convergence and continuity flag, are identical.  The exit status is
-1 when they are not, or when a non-numeric output differs.
+count, convergence, continuity flag, violation flag and probe count, are
+identical.  The exit status is 1 when they are not, or when a non-numeric
+output differs.
 """
 
 from __future__ import annotations
@@ -123,11 +128,34 @@ for i in range(20 if FULL else 5):  # criterion 5's descent instances
         cd.append({"beta": res.beta.tolist(), "objective": res.objective, "sweeps": res.sweeps,
                    "converged": res.converged, "residual": rep.residual,
                    "flag": rep.continuity_flag})
+
+# `probe_regularity` at the verify suite's constants: the regularity suite's
+# 10x6 instance (seed 0) and, at the full size, the acceptance decay design
+# at seed 0 anchored at its beta*
+rng = np.random.default_rng(np.random.SeedSequence([0, 14]))
+instances = [(oracle._random_instance(rng, 10, 6).X, (1.5, -2.0, 0.0, 0.0, 0.0, 0.0), 0.8,
+              dict(num_samples=50, sample_radius=3.0))]
+if FULL:
+    spec = workloads.experiment_specs(SIZE)[0]
+    lam = simulate.resolve_lambda(spec, spec.p)
+    instances.append((simulate.gen_design(spec, 0), simulate.gen_beta_star(spec, 0, lam=lam), lam, {}))
+records["oracles regularity"] = reg = []
+for X, ref, lam, sampling in instances:
+    prob = solver.Problem(X, np.zeros(X.shape[0]))
+    rules = [r for r in thresholding.rule_catalog(lam=lam) if r.kind in ("soft", "hard", "mcp", "scad")]
+    for assumption in oracle.ASSUMPTIONS:
+        config = oracle.RegularityProbeConfig(assumption=assumption, delta=1.0, vartheta=0.5, K=0.5,
+                                              lam=lam, reference_beta=tuple(ref), **sampling)
+        for rule in rules:
+            res = oracle.probe_regularity(config, prob, rule)
+            reg.append({"min_slack": res.min_slack, "argmin": res.argmin.tolist(),
+                        "violated": res.violated, "num_evaluated": res.num_evaluated})
 json.dump({"written": out, "records": records}, sys.stdout)
 """
 
 # record keys that must be equal; a record's other keys are numeric outputs
-SAME_KEYS = ("iterations", "reason", "support", "flagged", "gap_ok", "sweeps", "converged", "flag")
+SAME_KEYS = ("iterations", "reason", "support", "flagged", "gap_ok", "sweeps", "converged", "flag",
+             "violated", "num_evaluated")
 
 
 def run_checkout(checkout: str, size: str) -> dict:
