@@ -36,6 +36,9 @@ from .solver import (
 # floats of column submatrices `l0_global_min` stacks into one solve (64 KB, a
 # block's transient memory about 6x that); the supports of one size are split
 _STACK_FLOATS = 1 << 13
+# floats of probes and their products with X, rows x (n + p), `_slacks`
+# evaluates at once (512 KB, a block's transient memory a few times that)
+_PROBE_FLOATS = 1 << 16
 
 
 class L0Result(NamedTuple):
@@ -337,20 +340,30 @@ _SLACK_TERMS = {
 
 
 def _slacks(assumption, X, beta, P, rule, lam, delta, vartheta, K) -> np.ndarray:
-    """`regularity_slack` at (beta, b') for every row b' of P: one product
-    with X, the penalties as row sums, PT(beta) and J(beta) once."""
-    if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(P))):
+    """`regularity_slack` at (beta, b') for every row b' of P: per block of
+    `_PROBE_FLOATS // (n + p)` rows, one product with X and the penalties as
+    row sums; PT(beta) and J(beta) once.  A row's slack does not depend on
+    the block but for the rounding of its product with X."""
+    if not np.all(np.isfinite(beta)):
         raise ValueError("penalty input must be finite")
     spec = pen.PenaltySpec(rule=rule)
     lam_pt = lam if rule.kind in th.LAMBDA_KINDS else None  # ridge and lr take no threshold
-    D = P - beta
-    XD = D @ X.T
     pt_b = float(pen._penalty_z(spec, np.abs(beta), lam_pt).sum())
     c_xd, c_l2, tail = _SLACK_TERMS[assumption](
         delta, rule.contraction, K, pt_b, lam * lam * np.count_nonzero(beta))
-    return (c_xd * np.einsum("ij,ij->i", XD, XD) + pen._penalty_z(spec, np.abs(P), lam_pt).sum(axis=1)
+    out = np.empty(len(P))
+    per_block = max(1, _PROBE_FLOATS // max(sum(X.shape), 1))
+    for lo in range(0, len(P), per_block):
+        B = P[lo:lo + per_block]
+        if not np.all(np.isfinite(B)):
+            raise ValueError("penalty input must be finite")
+        D = B - beta
+        XD = D @ X.T
+        out[lo:lo + per_block] = (
+            c_xd * np.einsum("ij,ij->i", XD, XD) + pen._penalty_z(spec, np.abs(B), lam_pt).sum(axis=1)
             - vartheta * pen.penalty_hard(D, lam).sum(axis=1) - c_l2 * np.einsum("ij,ij->i", D, D)
             + tail)
+    return out
 
 
 def probe_regularity(config: RegularityProbeConfig, problem: Problem,
@@ -360,8 +373,8 @@ def probe_regularity(config: RegularityProbeConfig, problem: Problem,
     Negative minimum slack certifies a violation (the returned ``argmin`` is
     the violating second vector, the first of tied minima); nonnegative
     slack over the samples is evidence only, since the inequalities
-    quantify over all of R^p.  Every probe's slack comes from one stacked
-    evaluation.
+    quantify over all of R^p.  The probes are built as one array and their
+    slacks evaluated by `_slacks`, a block of rows at a time.
     """
     p = problem.p
     beta = np.array(config.reference_beta, dtype=float)
@@ -371,18 +384,24 @@ def probe_regularity(config: RegularityProbeConfig, problem: Problem,
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 4]))
 
     # beta, then beta +- r e_j per coordinate, then per sample a dense and a
-    # sparse Gaussian direction at radius r, in the draw order of the rng
+    # sparse Gaussian direction at radius r, in the draw order of the rng,
+    # written in place; off j, beta + r e_j is beta + 0.0 (a -0.0 of beta
+    # turns +0.0) and beta - r e_j is beta
     sparse_size = max(1, p // 10)
-    steps = []
-    for _ in range(config.num_samples):
+    P = np.empty((1 + 2 * p + 2 * config.num_samples, p))
+    P[0] = beta
+    P[1:2 * p + 1:2] = beta + 0.0
+    P[2:2 * p + 2:2] = beta
+    coords = np.arange(p)
+    P[1 + 2 * coords, coords] += r
+    P[2 + 2 * coords, coords] -= r
+    for k in range(2 * p + 1, len(P), 2):
         g = rng.standard_normal(p)
         idx = rng.choice(p, size=sparse_size, replace=False)
         s = np.zeros(p)
         s[idx] = rng.standard_normal(sparse_size)
-        steps += [r * g / np.linalg.norm(g), r * s / np.linalg.norm(s)]
-    E = r * np.eye(p)
-    P = np.concatenate([beta[None], np.stack([beta + E, beta - E], axis=1).reshape(2 * p, p),
-                        beta + np.array(steps)])
+        P[k] = beta + r * g / np.linalg.norm(g)
+        P[k + 1] = beta + r * s / np.linalg.norm(s)
 
     slacks = _slacks(config.assumption, problem.X, beta, P, rule,
                      config.lam, config.delta, config.vartheta, config.K)

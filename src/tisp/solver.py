@@ -689,6 +689,11 @@ class IterateTrace:
     carries beta_star.
     ``flagged`` lists iterations whose thresholding argument came within
     1e-12 of a jump discontinuity of the rule.
+
+    `solve` appends the error columns per recorded row and the rest per
+    stacked block: the iteration numbers, fixed-point residuals, support
+    sizes and objectives of the pending rows, and the flagged iterations
+    among those whose gradient magnitudes it has buffered.
     """
 
     has_errors: bool
@@ -700,16 +705,6 @@ class IterateTrace:
     est_err: list = field(default_factory=list)
     weighted_err: list = field(default_factory=list)
     flagged: list = field(default_factory=list)
-
-    def record(self, t, res, supp, errs):
-        """One row, all but its objective, which `solve` appends per block."""
-        self.iterations.append(int(t))
-        self.fp_residual.append(float(res))
-        self.support.append(int(supp))
-        if self.has_errors:
-            self.pred_err.append(errs["pred"])
-            self.est_err.append(errs["est"])
-            self.weighted_err.append(errs["weighted"])
 
     def write_csv(self, dest) -> None:
         """Write the trace; `dest` is a path or a text file object."""
@@ -745,8 +740,11 @@ def _text_out(dest):
 # ---------------------------------------------------------------------------
 
 # recorded rows x (p + n) entries, iterates and residuals, per stacked block
-# whose objectives are evaluated at once
+# whose support sizes and objectives are evaluated at once
 _BLOCK_ENTRIES = 1 << 16
+# buffered gradient magnitudes x (p + 16) entries, the 16 for each row's
+# array object, per stacked jump-graze test (32 KB)
+_GRAZE_ENTRIES = 1 << 12
 
 @dataclass
 class SolveResult:
@@ -791,6 +789,16 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
     P_alpha the penalty (with the configured augmentation) of
     `stepsize_transform`'s rule at Theta's threshold.  At alpha = 1 it is
     f(beta) of the module docstring.
+
+    Per iteration the loop does only what the next one and the stop test
+    read: the step, the sup-change, the new iterate's support and residual,
+    and the test fp_res <= tol; a recorded row also takes its error columns.
+    The rest of the trace is stacked and flushed per block: the pending
+    rows' iteration numbers, residuals, support sizes (one count_nonzero)
+    and objectives, `_BLOCK_ENTRIES` entries at most, and the untested
+    gradient magnitudes, `_GRAZE_ENTRIES` at most, in one row-wise
+    `near_jump`.  A threshold change flushes both, so each row and each
+    magnitude is evaluated at the threshold it was made under.
     """
     rule, schedule, alpha = config.rule, config.schedule, config.alpha
     tol, max_iter, record_every = config.tol, config.max_iter, config.record_every
@@ -805,22 +813,36 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
     lam_t = rule.lam if schedule is None else schedule.value(0)  # None for ridge and lr
     override = None if lam_t is None else lam_scale * lam_t  # Theta's threshold
     jumps = th.discontinuities(rule_a, override)  # empty for continuous rules
-    pending = []  # (iterate, residual) per recorded row still without its objective
+    pending = []  # (iteration, fp residual, iterate, y - Xs iterate) per row not yet in the trace
+    grazes = []  # gradient magnitudes of the last iterations, not yet tested
     block_rows = max(1, _BLOCK_ENTRIES // max(problem.p + problem.n, 1))
+    graze_rows = max(1, _GRAZE_ENTRIES // (problem.p + 16))
     reason = "max_iter"
 
-    def flush():
-        # the pending rows' objectives: one evaluation of rule_a's penalty
-        # over alpha on the stacked iterates, at the threshold they were
-        # recorded under (row sums of a C-contiguous block equal each row's
-        # own sum bit for bit), and one stacked 0.5*r @ r (each row's own dot)
+    def flush(last):
+        # the buffered gradient magnitudes, of iterations up to `last`: one
+        # row-wise test against the jumps they were made under
+        if grazes:
+            hit = np.flatnonzero(th.near_jump(np.array(grazes), jumps, 1e-12))
+            trace.flagged.extend((hit + (last + 1 - len(grazes))).tolist())
+            grazes.clear()
+        # the pending rows: their support sizes, and their objectives, one
+        # evaluation of rule_a's penalty over alpha on the stacked iterates,
+        # at the threshold they were recorded under (row sums of a
+        # C-contiguous block equal each row's own sum bit for bit), and one
+        # stacked 0.5*r @ r (each row's own dot)
         if pending:
-            block = np.abs(np.array([b for b, _ in pending]))
-            pens = pen._penalty_z(pen_spec, block, th.rule_lambda(rule_a, override)).sum(axis=1) / alpha
-            R = np.array([r for _, r in pending])
-            halves = np.matmul((0.5 * R)[:, None, :], R[:, :, None])[:, 0, 0]
-            trace.objective.extend(float(q + s) for q, s in zip(halves, pens))
+            its, res, betas, rs = zip(*pending)
             pending.clear()
+            trace.iterations.extend(its)
+            trace.fp_residual.extend(res)
+            block = np.array(betas)
+            trace.support.extend(np.count_nonzero(block, axis=1).tolist())
+            pens = pen._penalty_z(pen_spec, np.abs(block, out=block), th.rule_lambda(rule_a, override))
+            pens = pens.sum(axis=1) / alpha
+            R = np.array(rs)
+            halves = np.matmul((0.5 * R)[:, None, :], R[:, :, None])[:, 0, 0]
+            trace.objective.extend((halves + pens).tolist())
 
     # Overflow and invalid values are not warned about: the step raises
     # SolverError on the first non-finite gradient point or iterate.
@@ -837,31 +859,35 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
             if schedule is not None:
                 lam_next = schedule.value(it - 1)
                 if lam_next != lam_t:
-                    flush()
+                    flush(it - 1)
                     lam_t = lam_next
                     override = lam_scale * lam_t
                     jumps = th.discontinuities(rule_a, override)
 
             z, beta_new = _step(beta, r, nz, memo, alpha, rule_a, override, it)
-            if jumps and th.near_jump(z, jumps, 1e-12):
-                trace.flagged.append(it)
+            if jumps:
+                grazes.append(z)
+                if len(grazes) >= graze_rows:
+                    flush(it)
             fp_res = _sup_change(beta_new, beta, z, it)
             beta = beta_new
             nz = support(beta)
             r = y - (memo.Xs @ beta if nz is None else times(beta, nz))  # as in _step
-            done = fp_res <= tol or it == max_iter
 
-            if it % record_every == 0 or done:
-                errs = error_metrics(unscale(beta), problem, rho) if trace.has_errors else None
-                trace.record(it, fp_res, int(np.count_nonzero(beta)), errs)
-                pending.append((beta, r))
+            if it % record_every == 0 or fp_res <= tol or it == max_iter:
+                if trace.has_errors:
+                    errs = error_metrics(unscale(beta), problem, rho)
+                    trace.pred_err.append(errs["pred"])
+                    trace.est_err.append(errs["est"])
+                    trace.weighted_err.append(errs["weighted"])
+                pending.append((it, fp_res, beta, r))
                 if len(pending) >= block_rows:
-                    flush()
+                    flush(it)
 
             if fp_res <= tol:
                 reason = "converged"
                 break
-        flush()
+        flush(it)
 
         # fixed-point residual at the final iterate, at the final threshold
         z, theta_v = _step(beta, r, nz, memo, alpha, rule_a, override, it)

@@ -306,16 +306,20 @@ def discontinuities(rule: ThresholdRule, lam_override: float | None = None) -> t
     return tuple(q for _, _, m, q in integrand_pieces(rule, lam_override) if m == -1.0)
 
 
-def near_jump(z: np.ndarray, jumps, tol: float) -> bool:
+def near_jump(z: np.ndarray, jumps, tol: float):
     """Whether some magnitude z_j = |t_j| lies within `tol` of a jump location.
 
-    One pass over z per jump; `jumps` is any sequence of finite locations.
+    Row by row over the last axis: a 1-d z gives a Python bool, a stack of
+    rows a bool array with one entry per row.  One pass over z per jump,
+    through one scratch array; `jumps` is any sequence of finite locations.
     """
-    if z.size:
+    hit = np.zeros(z.shape[:-1], dtype=bool)
+    if z.shape[-1] and len(jumps):
+        d = np.empty_like(z)
         for j in jumps:
-            if np.minimum.reduce(np.abs(z - j)) < tol:
-                return True
-    return False
+            np.subtract(z, j, out=d)
+            hit |= np.minimum.reduce(np.abs(d, out=d), axis=-1) < tol
+    return bool(hit) if z.ndim == 1 else hit
 
 
 def integrand_pieces(rule: ThresholdRule, lam_override: float | None = None):

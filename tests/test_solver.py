@@ -33,7 +33,7 @@ from tisp.solver import (
     tisp_step,
     triangle_inequality_check,
 )
-from tisp.thresholding import LAMBDA_KINDS, parse_rule, rule_catalog
+from tisp.thresholding import LAMBDA_KINDS, discontinuities, near_jump, parse_rule, rule_catalog
 
 
 def rule(text):
@@ -866,6 +866,77 @@ def test_recorded_objective_across_block_flushes(monkeypatch):
     assert many_blocks >= 5
     # each such row went through solve's residual and the replay's energy
     assert sparse_rows >= 300 and len(gathered) >= 2 * sparse_rows
+
+
+def test_trace_columns_and_grazes_across_flushes(monkeypatch):
+    # solve stacks each recorded row's iteration, residual and support size,
+    # and tests the buffered gradient magnitudes for grazes, per block: at
+    # each threshold change, when the row or the graze buffer is full, and
+    # at exit.  Every kind of flush must give the trace a per-iteration
+    # replay gives: tisp_step, near_jump on each gradient point, and
+    # np.count_nonzero.  On X = I at rho = 2 the gradient point is
+    # 0.75 beta + y/2, so a coordinate with y_j = 2 lam sits on the jump at
+    # lam at every iteration while it stays 0, and one with y_j = 2 lam_t
+    # grazes only at the iteration whose threshold is lam_t.
+    tested = []  # rows per stacked graze test
+
+    def counting(z, jumps, tol):
+        tested.append(len(z))
+        return near_jump(z, jumps, tol)
+
+    monkeypatch.setattr(tisp.solver.th, "near_jump", counting)
+    p, lam = 8, 0.5
+    schedule = LambdaSchedule.geometric(2.5, 0.9, lam)
+    at = {t: 2.0 * schedule.value(t - 1) for t in (3, 7, 12)}  # grazes once, at t
+    y = np.array([10.0, -3.0, 2.0 * lam, 0.2, *at.values(), -0.7])
+    lr = rule("lr(r=0.5,zeta=1)")
+    cases = [(r, None) for r in (rule("hard(lambda=0.5)"), rule("hard-ridge(lambda=0.5,eta=0.5)"),
+                                 rule("scad(lambda=0.5,a=3.7)"), rule("mcp(lambda=0.5,gamma=3)"))]
+    cases += [(rule("hard(lambda=0.5)"), schedule), (rule("hard-ridge(lambda=0.5,eta=0.5)"), schedule)]
+    cases.append((lr, None))
+    budgets = [(tisp.solver._GRAZE_ENTRIES, tisp.solver._BLOCK_ENTRIES), (3 * (p + 16), 5 * 2 * p)]
+    flushes = []
+    for (r, sched), record_every, (graze_entries, block_entries) in itertools.product(
+            cases, (1, 3), budgets):
+        monkeypatch.setattr(tisp.solver, "_GRAZE_ENTRIES", graze_entries)
+        monkeypatch.setattr(tisp.solver, "_BLOCK_ENTRIES", block_entries)
+        yr = y.copy()
+        if r is lr:
+            yr[2] = 2.0 * discontinuities(lr)[0]  # on lr's jump while it stays 0
+        prob = Problem(np.eye(p), yr)
+        tested.clear()
+        res = solve(prob, SolverConfig(rule=r, rho=2.0, tol=1e-10, schedule=sched,
+                                       record_every=record_every))
+        assert res.converged and res.iterations > 30, (str(r), res.iterations)
+        trace = res.trace
+        scaled, _ = scale_problem(prob, 2.0)
+        Xs = scaled.X
+        beta, flagged, rows = np.zeros(p), [], []
+        for t in range(1, res.iterations + 1):
+            lam_t = sched.value(t - 1) if sched else r.lam
+            z = np.abs(beta + Xs.T @ (scaled.y - Xs @ beta))
+            if near_jump(z, discontinuities(r, lam_t), 1e-12):
+                flagged.append(t)
+            step = tisp_step(beta, scaled, r, lam=lam_t)
+            fp_res = float(np.max(np.abs(step - beta)))
+            beta = step
+            if t % record_every == 0 or t == res.iterations:
+                rows.append((t, fp_res, np.count_nonzero(beta)))
+        assert trace.flagged == flagged, (str(r), sched, record_every)
+        assert list(zip(trace.iterations, trace.fp_residual, trace.support)) == rows, str(r)
+        assert all(type(v) is int for v in trace.iterations + trace.support + trace.flagged)
+        if discontinuities(r, r.lam):
+            if sched is None:  # the coordinate on the jump grazes at every iteration
+                assert flagged == list(range(1, res.iterations + 1)), str(r)
+            else:  # the scheduled grazes, then the one at the floor from where the schedule reaches it
+                floor_from = next(t for t in range(1, 100) if schedule.value(t - 1) == lam)
+                assert flagged == [*at, *range(floor_from, res.iterations + 1)], str(r)
+            graze_rows = max(1, graze_entries // (p + 16))
+            assert sum(tested) == res.iterations and max(tested) <= graze_rows
+            flushes.append(len(tested))
+        else:
+            assert flagged == [] and tested == []
+    assert max(flushes) >= 10  # the small budget flushed many times
 
 
 def test_record_every_thins_but_keeps_last():

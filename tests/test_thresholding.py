@@ -514,6 +514,29 @@ def test_near_jump_equals_the_broadcast_test():
     assert 0 < hits < len(cases)
 
 
+def test_near_jump_row_by_row_equals_the_one_row_test():
+    # a stack of rows gives a bool array with each row's own answer, for no
+    # jump, one jump and several, rows of p = 0 entries, and magnitudes
+    # just inside and just outside the tolerance; one row stays a Python bool
+    tol = 1e-9
+    rng = np.random.default_rng(23)
+    for p in (0, 1, 5):
+        for jumps in ((), (1.0,), (0.5, 1.0, 2.0), np.array([1.0, 1.5])):
+            Z = rng.uniform(0.0, 2.5, size=(7, p))
+            for i, j in zip(range(0, 7, 2), (0.5, 1.0, 2.0, 1.5)):
+                if p:
+                    Z[i, i % p] = j + (i - 3) * tol / 2  # 1.5 tol off, 0.5 tol off (twice), 1.5 tol off
+            got = near_jump(Z, jumps, tol)
+            assert got.dtype == bool and got.shape == (7,)
+            want = [near_jump(row, jumps, tol) for row in Z]
+            assert all(type(w) is bool for w in want)
+            assert got.tolist() == want, (p, jumps)
+            if p and len(jumps) > 1:
+                assert 0 < sum(want) < 7
+            assert near_jump(Z[:0], jumps, tol).shape == (0,)
+            assert near_jump(Z[None], jumps, tol).tolist() == [want]  # over the last axis
+
+
 def test_default_contraction_grid():
     g = default_contraction_grid(rule("soft(lambda=2)"))
     assert g.shape == (2001,)

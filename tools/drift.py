@@ -7,10 +7,12 @@ subprocess and runs there, every solve recorded: perfbench's decay-large
 spec (`decay_large_spec`), the acceptance decay and rate specs
 (`experiment_specs`, written by `run_experiments`), a small all-kinds
 decay spec (gaussian-iid 100x60, J*=4, seeds 0-2, one rule of each of the
-nine kinds) and cli-solve's solve: soft at the theory lambda, tol 1e-8, on
+nine kinds), cli-solve's solve: soft at the theory lambda, tol 1e-8, on
 the arrays `cli_instance` gives `tisp simulate`, regenerated as
-`CliSolve.setup` does.  It also runs the oracles: `l0_global_min` at
-lambda 0.5 and rho = 1.05 ||X||_2 on 40 of criterion 6's instances
+`CliSolve.setup` does, and the solves of one pass of perfbench's
+multistart workload at seed 0 (`MultiStart.run_pass`).  It also runs the
+oracles: `l0_global_min` at lambda 0.5 and rho = 1.05 ||X||_2 on 40 of
+criterion 6's instances
 (`MultiStart.setup`), `coordinate_descent_local_min` with
 `check_theta_equation` for soft, mcp and scad on criterion 5's 20 (rng
 5000 + i), and `probe_regularity` (delta 1, vartheta 0.5, K 0.5) for the
@@ -27,10 +29,10 @@ occurs:
 - per oracle call, its coefficients, objective, minimum magnitude,
   certificate residual or minimum slack and its probe
 
-Then it says whether every solve's iteration count, support sizes and
-`flagged` iterations, and every oracle call's support, gap flag, sweep
-count, convergence, continuity flag, violation flag and probe count, are
-identical.  The exit status is 1 when they are not, or when a non-numeric
+Then it says whether every solve's iteration count, recorded iterations,
+support sizes and `flagged` iterations, and every oracle call's support,
+gap flag, sweep count, convergence, continuity flag, violation flag and
+probe count, are identical.  The exit status is 1 when they are not, or when a non-numeric
 output differs.
 """
 
@@ -61,7 +63,7 @@ def recording(problem, config, start=None):
     res = solve(problem, config, start)
     t = res.trace
     solves.append({"iterations": res.iterations, "reason": res.reason, "support": t.support,
-                   "rho": res.rho,
+                   "trace_iterations": t.iterations, "rho": res.rho,
                    "flagged": t.flagged, "beta": res.beta.tolist(), "objective": t.objective,
                    "fp_residual": t.fp_residual, "pred_err": t.pred_err, "est_err": t.est_err,
                    "weighted_err": t.weighted_err, "theta_residual": res.theta_residual})
@@ -101,7 +103,17 @@ y = simulate.gen_response(X, beta_star, spec.sigma, spec.noise_kind, 0)
 config = solver.SolverConfig(rule=thresholding.parse_rule(f"soft(lambda={lam!r})"),
                              tol=workloads.CliSolve.TOL)
 recording(solver.Problem(X, y, beta_star=beta_star), config)
-records["cli-solve solve"] = solves
+records["cli-solve solve"] = solves[:]
+solves.clear()
+
+ms = workloads.MultiStart(0, SIZE, ".")  # one pass of perfbench's multistart, its solves recorded
+ms.setup()
+solver.solve = recording
+try:
+    ms.run_pass(0, None, False)
+finally:
+    solver.solve = solve
+records["multistart solve"] = solves
 
 ms = workloads.MultiStart(0, SIZE, ".")
 ms.n_instances = 40 if FULL else 8  # more of criterion 6's instances than a pass solves
@@ -154,8 +166,8 @@ json.dump({"written": out, "records": records}, sys.stdout)
 """
 
 # record keys that must be equal; a record's other keys are numeric outputs
-SAME_KEYS = ("iterations", "reason", "support", "flagged", "gap_ok", "sweeps", "converged", "flag",
-             "violated", "num_evaluated")
+SAME_KEYS = ("iterations", "reason", "support", "trace_iterations", "flagged", "gap_ok", "sweeps",
+             "converged", "flag", "violated", "num_evaluated")
 
 
 def run_checkout(checkout: str, size: str) -> dict:
