@@ -173,7 +173,14 @@ def _load_config(path: str) -> sim.ExperimentSpec:
     return sim.ExperimentSpec.from_dict(doc)
 
 
+def _require_seed(seed) -> None:
+    # numpy's seeding refuses a negative seed only in its own words
+    if seed is not None and seed < 0:
+        raise CliError(f"--seed must be >= 0, got {seed}")
+
+
 def cmd_simulate(args) -> int:
+    _require_seed(args.seed)
     spec = _load_config(args.config)
     sim._require_decay_fields(spec)
     seed = args.seed if args.seed is not None else spec.seeds[0]
@@ -205,6 +212,7 @@ def cmd_experiment(args, kind: str) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    _require_seed(args.seed)
     names = list(oracle.SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
     for name in names:

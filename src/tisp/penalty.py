@@ -131,7 +131,8 @@ def _penalty_z(spec: PenaltySpec, z: np.ndarray, lam: float | None) -> np.ndarra
 # quadrature route (numerical, at Theta^{-1} from `inverse`)
 # ---------------------------------------------------------------------------
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, depth: int = 50) -> float:
+def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
+    # panels halve until Richardson's error estimate meets tol, at most 50 deep
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
@@ -147,7 +148,7 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, depth: int = 50) -> flo
             m, b, fm, frm, fb, right, 0.5 * tol, depth - 1
         )
 
-    return recurse(a, b, fa, fm, fb, whole, tol, depth)
+    return recurse(a, b, fa, fm, fb, whole, tol, 50)
 
 
 def quadrature_kinks(rule: ThresholdRule, lam_override: float | None = None) -> list[float]:
@@ -159,9 +160,9 @@ def quadrature_kinks(rule: ThresholdRule, lam_override: float | None = None) -> 
     return [lo for (lo, _, _, _) in pieces if lo > 0.0]
 
 
-def penalty_theta_quadrature(rule: ThresholdRule, t: float, tol: float = 1e-10,
+def penalty_theta_quadrature(rule: ThresholdRule, t: float,
                              lam_override: float | None = None) -> float:
-    """P_Theta(t) by adaptive Simpson quadrature of Theta^{-1}(u) - u.
+    """P_Theta(t) by adaptive Simpson quadrature of Theta^{-1}(u) - u, to within 1e-10.
 
     The integration domain is split at integrand kinks so each panel is
     smooth.  Serves as the cross-check of `penalty_theta`'s exact integration.
@@ -175,7 +176,7 @@ def penalty_theta_quadrature(rule: ThresholdRule, t: float, tol: float = 1e-10,
         return inverse(rule, u, lam_override) - u
 
     total = 0.0
-    per_piece = tol / max(len(cuts) - 1, 1)
+    per_piece = 1e-10 / max(len(cuts) - 1, 1)
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         total += _adaptive_simpson(integrand, lo, hi, per_piece)
     return total

@@ -16,7 +16,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -48,7 +48,8 @@ class ExperimentSpec:
     """Experiment description; field names match the JSON config keys.
 
     Decay experiments need n, p, J_star.  Rate experiments need p_grid and
-    J_star_grid; each cell uses n = ceil(n_factor * J_star * log p).
+    J_star_grid; each cell runs as this spec with its p, J_star and
+    n = ceil(n_factor * J_star * log p).
     signal_magnitude defaults to 5x the theory threshold and must be given
     explicitly when that default degenerates (sigma = 0).
     """
@@ -102,22 +103,37 @@ class ExperimentSpec:
         return spec
 
 
+def _is_number(v) -> bool:
+    """v is a finite int or float, and not a bool (JSON's true is no number)."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an int past the largest float
+        return False
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _base_problems(spec: ExperimentSpec) -> list:
     out = []
     if spec.ensemble not in ENSEMBLES:
         out.append(f"ensemble must be one of {ENSEMBLES}, got {spec.ensemble!r}")
     if spec.ensemble == "gaussian-ar1":
-        if spec.rho_corr is None or not (0.0 <= spec.rho_corr < 1.0):
+        if not (_is_number(spec.rho_corr) and 0.0 <= spec.rho_corr < 1.0):
             out.append("gaussian-ar1 needs rho_corr in [0, 1)")
-    if not (isinstance(spec.sigma, (int, float)) and math.isfinite(spec.sigma) and spec.sigma >= 0):
+    if not (_is_number(spec.sigma) and spec.sigma >= 0):
         out.append("sigma must be a finite number >= 0")
+    mag = spec.signal_magnitude
+    if mag is not None and not (_is_number(mag) and mag > 0):
+        out.append("signal_magnitude must be a finite number > 0")
     if spec.noise_kind not in NOISE_KINDS:
         out.append(f"noise_kind must be one of {NOISE_KINDS}, got {spec.noise_kind!r}")
-    if not spec.seeds or any(not isinstance(s, int) for s in spec.seeds):
-        out.append("seeds must be a nonempty list of integers")
+    if not spec.seeds or any(not (_is_integer(s) and s >= 0) for s in spec.seeds):
+        out.append("seeds must be a nonempty list of integers >= 0")
     elif len(set(spec.seeds)) != len(spec.seeds):
         out.append("seeds must be distinct")
-    if not spec.rules:
+    if not spec.rules or any(not isinstance(r, str) for r in spec.rules):
         out.append("rules must be a nonempty list of rule strings")
     else:
         for r in spec.rules:
@@ -128,19 +144,23 @@ def _base_problems(spec: ExperimentSpec) -> list:
     if spec.lambda_policy not in LAMBDA_POLICIES:
         out.append(f"lambda_policy must be one of {LAMBDA_POLICIES}")
     elif spec.lambda_policy == "explicit":
-        if spec.lambda_value is None or not (0 <= spec.lambda_value < math.inf):
+        if not (_is_number(spec.lambda_value) and spec.lambda_value >= 0):
             out.append("explicit lambda_policy needs a finite lambda_value >= 0")
-    elif not (math.isfinite(spec.A) and spec.A > 0):
+    elif not (_is_number(spec.A) and spec.A > 0):
         out.append("theory lambda_policy needs A > 0")
-    if spec.schedule is not None:
+    if isinstance(spec.schedule, str):
         try:
             parse_schedule(spec.schedule)
         except ValueError as exc:
             out.append(f"schedule: {exc}")
-    if not (math.isfinite(spec.tol) and spec.tol > 0):
+    elif spec.schedule is not None:
+        out.append("schedule must be a string")
+    if not (_is_number(spec.tol) and spec.tol > 0):
         out.append("tol must be > 0")
-    if not (isinstance(spec.max_iter, int) and spec.max_iter >= 1):
+    if not (_is_integer(spec.max_iter) and spec.max_iter >= 1):
         out.append("max_iter must be an integer >= 1")
+    if not (_is_number(spec.rho_epsilon) and spec.rho_epsilon >= 0):
+        out.append("rho_epsilon must be a finite number >= 0")
     return out
 
 
@@ -148,7 +168,7 @@ def _require_decay_fields(spec: ExperimentSpec) -> None:
     problems = []
     for name in ("n", "p", "J_star"):
         v = getattr(spec, name)
-        if not (isinstance(v, int) and v >= 1):
+        if not (_is_integer(v) and v >= 1):
             problems.append(f"{name} must be an integer >= 1")
     if not problems and spec.J_star > min(spec.n, spec.p):
         problems.append("J_star must be <= min(n, p)")
@@ -160,9 +180,9 @@ def _require_rate_fields(spec: ExperimentSpec) -> None:
     problems = []
     for name in ("p_grid", "J_star_grid"):
         v = getattr(spec, name)
-        if not v or any(not (isinstance(x, int) and x >= 1) for x in v):
+        if not v or any(not (_is_integer(x) and x >= 1) for x in v):
             problems.append(f"{name} must be a nonempty list of integers >= 1")
-    if not (math.isfinite(spec.n_factor) and spec.n_factor > 0):
+    if not (_is_number(spec.n_factor) and spec.n_factor > 0):
         problems.append("n_factor must be > 0")
     if spec.sigma <= 0:
         problems.append("rate experiment needs sigma > 0")
@@ -180,17 +200,15 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, stream]))
 
 
-def gen_design(spec: ExperimentSpec, seed: int, n: int | None = None,
-               p: int | None = None) -> np.ndarray:
-    """Design draw for one replication; deterministic per (spec, seed).
+def gen_design(spec: ExperimentSpec, seed: int) -> np.ndarray:
+    """The spec's n x p design for one replication; deterministic per (spec, seed).
 
     gaussian-iid: entries N(0, 1/n).  gaussian-ar1: each row a stationary
     AR(1) sequence across columns with correlation rho_corr^|i-j|, scaled by
     1/sqrt(n) so columns have unit norm in expectation.  orthonormal: QR of
     a square-or-tall Gaussian draw, X'X = I exactly.
     """
-    n = spec.n if n is None else n
-    p = spec.p if p is None else p
+    n, p = spec.n, spec.p
     rng = _rng(seed, _STREAM_DESIGN)
     if spec.ensemble == "gaussian-iid":
         X = rng.standard_normal((n, p))
@@ -227,11 +245,10 @@ def resolve_rule(template: str, lam: float) -> th.ThresholdRule:
     return rule
 
 
-def gen_beta_star(spec: ExperimentSpec, seed: int, p: int | None = None,
-                  j_star: int | None = None, lam: float | None = None) -> np.ndarray:
-    """J* nonzeros at the signal magnitude, random positions and signs."""
-    p = spec.p if p is None else p
-    j = spec.J_star if j_star is None else j_star
+def gen_beta_star(spec: ExperimentSpec, seed: int, lam: float | None = None) -> np.ndarray:
+    """J* of the spec's p entries at +-signal_magnitude, random positions and
+    signs; the magnitude defaults to 5 lam (lam: the policy's unless given)."""
+    p, j = spec.p, spec.J_star
     mag = spec.signal_magnitude
     if mag is None:
         if lam is None:
@@ -307,17 +324,17 @@ def fit_decay_rate(e_seq, plateau: float):
     return kappa, 0.0 < kappa <= 1.0
 
 
-def _instance(spec: ExperimentSpec, seed: int, lam: float, n=None, p=None, j_star=None) -> Problem:
+def _instance(spec: ExperimentSpec, seed: int, lam: float) -> Problem:
     """One seed's design, beta* and response as a Problem holding them, not
     copies; its norm and support memo then serve every rule solved on it."""
-    X = gen_design(spec, seed, n=n, p=p)
-    beta_star = gen_beta_star(spec, seed, p=p, j_star=j_star, lam=lam)
+    X = gen_design(spec, seed)
+    beta_star = gen_beta_star(spec, seed, lam=lam)
     y = gen_response(X, beta_star, spec.sigma, spec.noise_kind, seed)
-    return Problem._own(X, y, beta_star=beta_star, sigma=spec.sigma)
+    return Problem._own(X, y, beta_star=beta_star)
 
 
 def _solve_rule(spec: ExperimentSpec, seed: int, problem: Problem, rule: th.ThresholdRule,
-                j_star: int, record_every: int):
+                record_every: int):
     """Solve one rule on one instance; returns (SolveResult, result row).
 
     The row's errors are the trace's last recorded ones: the final iterate
@@ -340,7 +357,7 @@ def _solve_rule(spec: ExperimentSpec, seed: int, problem: Problem, rule: th.Thre
         "rule": str(rule),
         "n": problem.n,
         "p": problem.p,
-        "J_star": j_star,
+        "J_star": spec.J_star,
         "sigma": spec.sigma,
         "lambda": rule.lam,
         "rho": res.rho,
@@ -363,7 +380,7 @@ def _decay_task(args) -> list:
     results = []
     for rule_str in spec.rules:
         rule = resolve_rule(rule_str, lam)
-        res, row = _solve_rule(spec, seed, problem, rule, spec.J_star, record_every=1)
+        res, row = _solve_rule(spec, seed, problem, rule, record_every=1)
         e0 = error_metrics(np.zeros(spec.p), problem, res.rho)["weighted"]
         e_seq = [e0] + res.trace.weighted_err
         plateau = float(np.median(e_seq[-10:]))
@@ -455,14 +472,14 @@ def run_decay_experiment(spec: ExperimentSpec, jobs: int = 1):
 # ---------------------------------------------------------------------------
 
 def _rate_task(args) -> list:
-    """Every rule of the spec on one (cell, seed) instance; only the final
+    """Every rule of a cell's spec on one seed's instance; only the final
     iterate is recorded."""
-    spec, seed, n, p, j_star = args
-    lam = resolve_lambda(spec, p)
-    problem = _instance(spec, seed, lam, n=n, p=p, j_star=j_star)
+    cell, seed = args
+    lam = resolve_lambda(cell, cell.p)
+    problem = _instance(cell, seed, lam)
     return [
-        _solve_rule(spec, seed, problem, resolve_rule(r, lam), j_star, record_every=spec.max_iter)[1]
-        for r in spec.rules
+        _solve_rule(cell, seed, problem, resolve_rule(r, lam), record_every=cell.max_iter)[1]
+        for r in cell.rules
     ]
 
 
@@ -486,7 +503,8 @@ def run_rate_experiment(spec: ExperimentSpec, jobs: int = 1):
     """
     _require_rate_fields(spec)
     cells = rate_grid(spec)
-    tasks = [(spec, seed, n, p, j) for (n, p, j) in cells for seed in spec.seeds]
+    cell_specs = [replace(spec, n=n, p=p, J_star=j) for (n, p, j) in cells]
+    tasks = [(cell, seed) for cell in cell_specs for seed in spec.seeds]
     rows = [r for batch in _map_tasks(_rate_task, tasks, jobs) for r in batch]
     rows.sort(key=lambda r: (r["p"], r["J_star"], r["seed"], r["rule"]))
 

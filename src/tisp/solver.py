@@ -48,12 +48,11 @@ def _frozen_array(x, copy=True):
 
 @dataclass(frozen=True)
 class Problem:
-    """Design X (n x p), response y (n,), optional ground truth and noise scale."""
+    """Design X (n x p), response y (n,) and optional ground truth beta_star (p,)."""
 
     X: np.ndarray
     y: np.ndarray
     beta_star: np.ndarray | None = None
-    sigma: float | None = None
 
     def __post_init__(self, copy=True):
         X = _frozen_array(self.X, copy)
@@ -71,17 +70,15 @@ class Problem:
                 raise ValueError(f"beta_star has shape {bs.shape}, expected ({X.shape[1]},)")
             if not np.all(np.isfinite(bs)):
                 raise ValueError("beta_star must be finite")
-        if self.sigma is not None and (not math.isfinite(self.sigma) or self.sigma < 0):
-            raise ValueError("sigma must be finite and >= 0")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "beta_star", bs)
 
     @classmethod
-    def _own(cls, X, y, beta_star=None, sigma=None) -> "Problem":
+    def _own(cls, X, y, beta_star=None) -> "Problem":
         """`Problem(...)` on arrays nothing else holds: checked, frozen in place, not copied."""
         prob = object.__new__(cls)
-        prob.__dict__.update(X=X, y=y, beta_star=beta_star, sigma=sigma)
+        prob.__dict__.update(X=X, y=y, beta_star=beta_star)
         prob.__post_init__(copy=False)
         return prob
 
@@ -108,7 +105,7 @@ class Problem:
 
 
 class _ScaledProblem(Problem):
-    """`_scaled`'s Problem(X/rho, y, rho*beta*, sigma): its memo is the
+    """`_scaled`'s Problem(X/rho, y, rho*beta*): its memo is the
     problem's at scale rho, and X/rho the memo's, built on first use."""
 
     X = property(lambda self: self.memo.Xs)
@@ -578,7 +575,7 @@ def scale_problem(problem: Problem, rho: float):
 
 
 def _scaled(problem: Problem, rho: float) -> _ScaledProblem:
-    """The view Problem(X/rho, y, rho*beta*, sigma) on the problem's memo, at
+    """The view Problem(X/rho, y, rho*beta*) on the problem's memo, at
     any rho > 0: `scale_problem` without its norm guard, for the oracles.
     ConfigurationError unless rho is positive and finite, or if a squared
     column norm of X/rho or rho*beta* overflows."""
@@ -598,7 +595,7 @@ def _scaled(problem: Problem, rho: float) -> _ScaledProblem:
             raise ConfigurationError(f"rho*beta_star overflows at rho={rho:.6g}")
         bstar.flags.writeable = False
     scaled = object.__new__(_ScaledProblem)
-    scaled.__dict__.update(y=problem.y, beta_star=bstar, sigma=problem.sigma,
+    scaled.__dict__.update(y=problem.y, beta_star=bstar,
                            memo=SupportMemo(problem.X, problem.y, rho, problem.memo))
     return scaled
 
@@ -961,9 +958,9 @@ def triangle_inequality_check(beta_t, beta_t1, probe, scaled_problem: Problem, s
     return rhs - lhs
 
 
-def gaussian_starts(problem: Problem, n_starts: int, seed: int = 0, spread: float = 1.0):
-    """Random starts: Gaussian perturbations of a least-squares pilot."""
+def gaussian_starts(problem: Problem, n_starts: int, seed: int = 0):
+    """Random starts: the least-squares pilot plus Gaussian noise at its RMS entry + 0.01."""
     pilot = np.linalg.lstsq(problem.X, problem.y, rcond=None)[0]
-    scale = spread * (np.linalg.norm(pilot) / math.sqrt(max(problem.p, 1)) + 1e-2)
+    scale = np.linalg.norm(pilot) / math.sqrt(max(problem.p, 1)) + 1e-2
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     return [pilot + scale * rng.standard_normal(problem.p) for _ in range(n_starts)]

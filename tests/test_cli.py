@@ -282,6 +282,43 @@ def test_simulate_rejects_unknown_config_field(capsys, tmp_path):
     assert "mystery_knob" in err
 
 
+# (config change, the field its refusal names): each must be refused before
+# any solve, with one error line and no traceback
+BAD_VALUES = [
+    ({"J_star": True}, "J_star"),
+    ({"max_iter": True}, "max_iter"),
+    ({"seeds": [False, 1]}, "seeds"),
+    ({"seeds": [-1]}, "seeds"),
+    ({"tol": "1e-8"}, "tol"),
+    ({"A": "1"}, "A > 0"),
+    ({"rho_epsilon": "0.01"}, "rho_epsilon"),
+    ({"rho_epsilon": -1}, "rho_epsilon"),
+    ({"signal_magnitude": "2"}, "signal_magnitude"),
+    ({"lambda_policy": "explicit", "lambda_value": "0.5"}, "lambda_value"),
+    ({"ensemble": "gaussian-ar1", "rho_corr": "0.5"}, "rho_corr"),
+    ({"schedule": 5}, "schedule"),
+    ({"rules": [5]}, "rules"),
+]
+
+
+@pytest.mark.parametrize("change, field", BAD_VALUES, ids=[str(c) for c, _ in BAD_VALUES])
+def test_decay_refuses_a_config_value_of_the_wrong_type_or_range(capsys, tmp_path, change, field):
+    doc = {**DECAY_CONFIG, **change}
+    with pytest.raises(tisp.simulate.SpecError, match=field):  # before any solve
+        tisp.simulate.run_decay_experiment(tisp.simulate.ExperimentSpec.from_dict(doc))
+    code, out, err = run(capsys, ["decay", "--config", str(write_config(tmp_path, doc)),
+                                  "--out", str(tmp_path / "decay")])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid ") and field in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--config", "unread.json"],
+                                  ["verify", "--suite", "descent"]])
+def test_a_negative_seed_is_refused(capsys, argv):
+    code, out, err = run(capsys, argv + ["--seed", "-3"])
+    assert (code, out, err) == (1, "", "error: --seed must be >= 0, got -3\n")
+
+
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------

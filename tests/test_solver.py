@@ -324,8 +324,6 @@ def test_problem_validation():
         Problem(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros(2))
     with pytest.raises(ValueError):
         Problem(X, np.zeros(2), beta_star=np.zeros(3))
-    with pytest.raises(ValueError):
-        Problem(X, np.zeros(2), sigma=-1.0)
 
 
 def test_problem_arrays_are_frozen():

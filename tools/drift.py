@@ -29,10 +29,12 @@ occurs:
 - per oracle call, its coefficients, objective, minimum magnitude,
   certificate residual or minimum slack and its probe
 
-Then it says whether every solve's iteration count, recorded iterations,
-support sizes and `flagged` iterations, and every oracle call's support,
-gap flag, sweep count, convergence, continuity flag, violation flag and
-probe count, are identical.  The exit status is 1 when they are not, or when a non-numeric
+Then it says whether every experiment instance (a blake2b digest of the X,
+y and beta* of each decay seed and each rate cell and seed), every solve's
+iteration count, recorded iterations, support sizes and `flagged`
+iterations, and every oracle call's support, gap flag, sweep count,
+convergence, continuity flag, violation flag and probe count, are
+identical.  The exit status is 1 when they are not, or when a non-numeric
 output differs.
 """
 
@@ -48,15 +50,15 @@ from pairing import child_env
 
 # Runs in the checkout's own interpreter: writes one JSON document to stdout.
 CHILD = r"""
-import csv, io, json, sys
+import csv, hashlib, io, json, sys
 import numpy as np
 from perfbench import workloads
 from tisp import oracle, penalty, simulate, solver, thresholding
 
 SIZE = sys.argv[1]
 FULL = SIZE == "full"
-solves = []
-solve = solver.solve
+solves, instances = [], []
+solve, instance = solver.solve, simulate._instance
 
 
 def recording(problem, config, start=None):
@@ -70,6 +72,15 @@ def recording(problem, config, start=None):
     return res
 
 
+def digested(*args, **kwargs):  # any signature: the base checkout may differ
+    prob = instance(*args, **kwargs)
+    h = hashlib.blake2b()
+    for a in (prob.X, prob.y, prob.beta_star):
+        h.update(np.ascontiguousarray(a).tobytes())
+    instances.append({"instance": h.hexdigest()})
+    return prob
+
+
 def written(rows, summary):  # as `run_experiments` writes each experiment
     csv_buf, json_buf = io.StringIO(), io.StringIO()
     simulate.write_results_csv(rows, csv_buf)
@@ -78,7 +89,7 @@ def written(rows, summary):  # as `run_experiments` writes each experiment
     return {"columns": header, "rows": cells, "summary": json.loads(json_buf.getvalue())}
 
 
-simulate.solve = recording
+simulate.solve, simulate._instance = recording, digested
 all_kinds = simulate.ExperimentSpec(
     ensemble="gaussian-iid", n=100, p=60, J_star=4, sigma=1.0, seeds=(0, 1, 2),
     rules=("soft", "hard", "ridge(eta=0.5)", "elastic-net(eta=0.5)", "berhu(eta=0.5)",
@@ -93,6 +104,7 @@ for name, spec in (("decay-large", workloads.decay_large_spec(SIZE)), ("all-kind
 out["acceptance-decay"], out["acceptance-rate"] = pair["decay"], pair["rate"]
 records["acceptance solve"] = solves[:]
 solves.clear()
+records["experiment instances"] = instances
 
 doc = workloads.cli_instance(SIZE)  # as CliSolve.setup regenerates what `tisp simulate` wrote
 spec = simulate.ExperimentSpec.from_dict(doc)
@@ -166,8 +178,8 @@ json.dump({"written": out, "records": records}, sys.stdout)
 """
 
 # record keys that must be equal; a record's other keys are numeric outputs
-SAME_KEYS = ("iterations", "reason", "support", "trace_iterations", "flagged", "gap_ok", "sweeps",
-             "converged", "flag", "violated", "num_evaluated")
+SAME_KEYS = ("instance", "iterations", "reason", "support", "trace_iterations", "flagged", "gap_ok",
+             "sweeps", "converged", "flag", "violated", "num_evaluated")
 
 
 def run_checkout(checkout: str, size: str) -> dict:
