@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import locale
 import os
 import sys
 import warnings
@@ -43,6 +44,9 @@ class _Parser(argparse.ArgumentParser):
 
 # ASCII separators \x1c-\x1f: np.loadtxt skips them as whitespace, float() refuses them
 _LOADTXT_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+# Bytes per parsing range at least: a smaller file is one range, parsed here.
+_RANGE_BYTES = 4 << 20
 
 
 def read_matrix(path: str) -> np.ndarray:
@@ -81,18 +85,136 @@ def _read_csv(path: str) -> np.ndarray:
 def _loadtxt(path: str) -> np.ndarray | None:
     # None where np.loadtxt raises, warns, reads no value, or could read a
     # file that `_read_csv` refuses (a separator byte); on every other file
-    # both give the same array
+    # both give the same array.  The file is parsed in line-aligned byte
+    # ranges at once, one per usable CPU and at most one per _RANGE_BYTES:
+    # this process parses the first, a forked child each other one and
+    # sends back its rows.  Each line is one record (no comments, no
+    # quotes), so the ranges' rows stacked are the whole file's rows.
+    children = []  # (pid, read end of its pipe) until reaped
     try:
         with open(path, "rb") as f:
             for chunk in iter(lambda: f.read(1 << 20), b""):
                 if any(sep in chunk for sep in _LOADTXT_ONLY_SPACE):
                     return None
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            m = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, dtype=float)
+            bounds = _range_bounds(f, f.tell())
+            for start, stop in zip(bounds[1:-1], bounds[2:]):
+                children.append(_fork_range(path, start, stop, children))
+            first = _parse_range(f, 0, bounds[1])
+        shapes = [first.shape]
+        for _, fd in children:
+            head = np.empty(2, dtype=np.int64)
+            if not _read_into(fd, head):
+                return None
+            shapes.append(tuple(head))
+        cols = {c for r, c in shapes if r}  # a range of blank lines has no rows
+        if len(cols) != 1:  # no value, or ragged across ranges
+            return None
+        if not children:
+            return first
+        m = np.empty((sum(r for r, _ in shapes), cols.pop()))
+        at = len(first)
+        m[:at] = first
+        for (_, fd), (r, _) in zip(children, shapes[1:]):
+            if not _read_into(fd, m[at:at + r]):
+                return None
+            at += r
+        while children:
+            pid, fd = children.pop()
+            os.close(fd)
+            if os.waitpid(pid, 0)[1] != 0:
+                return None
+        return m
     except (OSError, ValueError, Warning):
         return None
-    return m if m.size else None
+    finally:
+        # a child still parsing finds its pipe closed when it writes, and exits
+        for _, fd in children:
+            os.close(fd)
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+
+
+def _range_bounds(f, size: int) -> list:
+    """0, the starts of the later ranges and `size`: W - 1 offsets spread
+    evenly, each moved forward to the next line start, W = min(usable CPUs,
+    size // _RANGE_BYTES); where a line spans two offsets, ranges merge."""
+    w = 1
+    if hasattr(os, "fork"):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        w = max(1, min(cpus or 1, size // _RANGE_BYTES))
+    bounds = [0]
+    for k in range(1, w):
+        f.seek(k * size // w - 1)
+        f.readline()
+        if bounds[-1] < f.tell() < size:
+            bounds.append(f.tell())
+    return bounds + [size]
+
+
+def _parse_range(f, start: int, stop: int) -> np.ndarray:
+    # the np.loadtxt call of every range: its lines from f, decoded as a
+    # text-mode open would; a range of blank lines gives no rows, not a warning
+    def lines():
+        f.seek(start)
+        at = start
+        for line in f:
+            yield line
+            at += len(line)
+            if at >= stop:
+                return
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(lines(), delimiter=",", comments=None, ndmin=2, dtype=float,
+                          encoding=locale.getpreferredencoding(False))
+
+
+def _fork_range(path: str, start: int, stop: int, children: list) -> tuple:
+    """(pid, read end) of a forked child that parses bytes [start, stop) of
+    path and writes their shape (two int64) and float64 rows to the pipe,
+    then leaves by os._exit: no atexit handler or buffer flush of this
+    process runs twice."""
+    r, w = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns that fork() in a process with threads (a
+            # BLAS pool) may deadlock the child.  This child cannot: it reads
+            # only its own range on its own handle, calls no BLAS and leaves
+            # by os._exit.
+            warnings.filterwarnings("ignore", r"This process .* use of fork\(\)",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            for fd in [r] + [fd for _, fd in children]:
+                os.close(fd)
+            with open(path, "rb") as f:
+                m = _parse_range(f, start, stop)
+            with open(w, "wb") as out:
+                out.write(np.array(m.shape, dtype=np.int64).tobytes())
+                out.write(np.ascontiguousarray(m).data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, r
+
+
+def _read_into(fd: int, arr: np.ndarray) -> bool:
+    """Fill the C-contiguous arr from the pipe fd; False on a short read."""
+    view = memoryview(arr.reshape(-1).view(np.uint8))
+    while view:
+        n = os.readv(fd, [view])
+        if n == 0:
+            return False
+        view = view[n:]
+    return True
 
 
 def read_vector(path: str) -> np.ndarray:

@@ -164,6 +164,23 @@ def _base_problems(spec: ExperimentSpec) -> list:
     return out
 
 
+# Largest sigma, lambda and signal magnitude a run takes.  It multiplies at
+# most four of them (sigma^2 lam^2 J* in the plateau ratio) and sums squared
+# errors over at most n*p terms, so below 2^200 each stays far inside the
+# float range (2^1024); above, a run overflows mid-way.
+_SCALE_LIMIT = 2.0**200
+
+
+def _scale_problems(spec: ExperimentSpec, p: int) -> list:
+    """The spec's scales past _SCALE_LIMIT, lambda resolved at p (the theory
+    lambda grows with p)."""
+    scales = [("sigma", spec.sigma),
+              ("lambda_value" if spec.lambda_policy == "explicit" else "theory lambda",
+               resolve_lambda(spec, p)),
+              ("signal_magnitude", spec.signal_magnitude or 0.0)]
+    return [f"{name} must be at most 2**200, got {v:g}" for name, v in scales if v > _SCALE_LIMIT]
+
+
 def _require_decay_fields(spec: ExperimentSpec) -> None:
     problems = []
     for name in ("n", "p", "J_star"):
@@ -172,6 +189,8 @@ def _require_decay_fields(spec: ExperimentSpec) -> None:
             problems.append(f"{name} must be an integer >= 1")
     if not problems and spec.J_star > min(spec.n, spec.p):
         problems.append("J_star must be <= min(n, p)")
+    if not problems:
+        problems = _scale_problems(spec, spec.p)
     if problems:
         raise SpecError("invalid decay config: " + "; ".join(problems))
 
@@ -188,6 +207,8 @@ def _require_rate_fields(spec: ExperimentSpec) -> None:
         problems.append("rate experiment needs sigma > 0")
     if not problems and len(spec.p_grid) * len(spec.J_star_grid) < 4:
         problems.append("need at least 4 grid cells (p_grid x J_star_grid)")
+    if not problems:
+        problems = _scale_problems(spec, max(spec.p_grid))
     if problems:
         raise SpecError("invalid rate config: " + "; ".join(problems))
 

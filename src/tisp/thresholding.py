@@ -504,8 +504,9 @@ def parse_rule(text: str, require_lambda: bool = True) -> ThresholdRule:
         raise RuleParseError(str(exc)) from None
 
 
-def rule_catalog(lam=1.0, eta=0.5, a=3.7, gamma=2.0, r=0.5, zeta=1.0):
-    """One instance of every rule kind, with shared default parameters."""
+def rule_catalog(lam=1.0, eta=0.5, gamma=2.0):
+    """One instance of every rule kind, with shared default parameters
+    (scad at a = 3.7, lr at r = 0.5, zeta = 1)."""
     return [
         ThresholdRule("soft", lam=lam),
         ThresholdRule("hard", lam=lam),
@@ -513,7 +514,7 @@ def rule_catalog(lam=1.0, eta=0.5, a=3.7, gamma=2.0, r=0.5, zeta=1.0):
         ThresholdRule("elastic-net", lam=lam, eta=eta),
         ThresholdRule("berhu", lam=lam, eta=eta),
         ThresholdRule("hard-ridge", lam=lam, eta=eta),
-        ThresholdRule("scad", lam=lam, a=a),
+        ThresholdRule("scad", lam=lam, a=3.7),
         ThresholdRule("mcp", lam=lam, gamma=gamma),
-        ThresholdRule("lr", r=r, zeta=zeta),
+        ThresholdRule("lr", r=0.5, zeta=1.0),
     ]

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -124,6 +125,10 @@ def test_solve_malformed_csv(capsys, tmp_path, scalar_files):
     assert "line 2" in err
 
 
+def repr_csv(m) -> bytes:
+    return "".join(",".join(map(repr, row)) + "\n" for row in m.tolist()).encode()
+
+
 # name -> (file bytes, whether np.loadtxt reads it); read_matrix must agree
 # with the csv reader on each, in its array or in its error message
 CSV_CASES = {
@@ -139,7 +144,27 @@ CSV_CASES = {
     "nan_inf": (b"nan,inf\n-Infinity,NaN\n", True),
     "single_value": (b"3.0", True),
     "spaces_and_exponents": (b" 1e-3 ,-2.5E+2\n0.1000000000000000055511151231257827,-0\n", True),
+    # a binary handle's lines end at \n only, and np.loadtxt refuses a lone \r
+    # inside one; the csv reader ends a line there
+    "lone_cr": (b"1,2\r3,4\n", False),
+    "blank_line_mid_file": (b"1,2\n3,4\n\n5,6\n7,8\n", True),
+    "ragged_late": (b"1,2\n3,4\n5,6\n7\n", False),
+    "separator_byte_late": (b"1,2\n3,4\n5,6\n7,8\x1d\n", False),
+    "no_final_newline": (b"1,2\n3,4\n5,6", True),
+    "bom": (b"\xef\xbb\xbf1,2\n3,4\n", False),
+    "repr_50x7": (repr_csv(np.random.default_rng(0).standard_normal((50, 7))), True),
 }
+
+
+@pytest.fixture
+def forced_ranges(monkeypatch):
+    """The CSV reader forced into 1-byte ranges on 4 CPUs: up to three forked
+    children per read, each reaped by the time the test ends."""
+    monkeypatch.setattr(tisp.cli, "_RANGE_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("name", sorted(CSV_CASES))
@@ -157,6 +182,63 @@ def test_read_matrix_agrees_with_the_csv_reader(tmp_path, name):
 
     assert (tisp.cli._loadtxt(str(path)) is not None) == fast
     assert outcome(tisp.cli.read_matrix) == outcome(tisp.cli._read_csv)
+
+
+@pytest.mark.parametrize("name", sorted(CSV_CASES))
+def test_read_matrix_in_ranges_agrees_with_the_csv_reader(tmp_path, forced_ranges, name):
+    test_read_matrix_agrees_with_the_csv_reader(tmp_path, name)
+
+
+def test_read_in_ranges_equals_np_loadtxt_and_reaps_every_child(tmp_path, forced_ranges,
+                                                                monkeypatch):
+    path = tmp_path / "X.csv"
+    path.write_bytes(repr_csv(np.random.default_rng(1).standard_normal((200, 7))))
+    m = tisp.cli._loadtxt(str(path))
+    assert m.tobytes() == np.loadtxt(str(path), delimiter=",").tobytes() and m.shape == (200, 7)
+
+    # a later range refused: the csv reader reads the file and names the line
+    path.write_bytes(path.read_bytes() + b"1,2,3,4,5,6,x\n")
+    assert tisp.cli._loadtxt(str(path)) is None
+    with pytest.raises(tisp.cli.CliError, match="line 201: value is not a number"):
+        tisp.cli.read_matrix(str(path))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+    # an exception in this process while children parse
+    parent, parse = os.getpid(), tisp.cli._parse_range
+
+    def failing_here(*args):
+        if os.getpid() == parent:
+            raise RuntimeError("parent fails")
+        return parse(*args)
+
+    monkeypatch.setattr(tisp.cli, "_parse_range", failing_here)
+    with pytest.raises(RuntimeError, match="parent fails"):
+        tisp.cli.read_matrix(str(path))
+
+
+def test_read_matrix_forks_only_with_a_cpu_and_a_fork_to_spare(tmp_path, monkeypatch):
+    path = tmp_path / "X.csv"
+    path.write_bytes(repr_csv(np.random.default_rng(2).standard_normal((40, 3))))
+    expected = np.loadtxt(str(path), delimiter=",").tobytes()
+    monkeypatch.setattr(tisp.cli, "_RANGE_BYTES", 1)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert tisp.cli._loadtxt(str(path)).tobytes() == expected
+
+    def failing_fork():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert tisp.cli._loadtxt(str(path)) is None  # the csv reader reads the file
+    assert tisp.cli.read_matrix(str(path)).tobytes() == expected
+    monkeypatch.delattr(os, "fork")  # a platform without fork
+    assert tisp.cli._loadtxt(str(path)).tobytes() == expected
 
 
 def test_writers_match_the_csv_writer():
@@ -298,6 +380,10 @@ BAD_VALUES = [
     ({"ensemble": "gaussian-ar1", "rho_corr": "0.5"}, "rho_corr"),
     ({"schedule": 5}, "schedule"),
     ({"rules": [5]}, "rules"),
+    # finite, but past what the run's arithmetic holds
+    ({"sigma": 1e300}, "sigma"),
+    ({"lambda_policy": "explicit", "lambda_value": 1e300}, "lambda_value"),
+    ({"signal_magnitude": 1e300}, "signal_magnitude"),
 ]
 
 
@@ -355,6 +441,16 @@ def test_experiment_rejects_jobs_below_one(capsys, tmp_path):
         assert code == 1
         assert out == ""
         assert err == f"error: jobs must be >= 1, got {jobs}\n"
+
+
+def test_rate_refuses_a_sigma_past_its_arithmetic(capsys, tmp_path):
+    doc = {**RATE_CONFIG, "sigma": 1e300}
+    with pytest.raises(tisp.simulate.SpecError, match="sigma"):  # before any solve
+        tisp.simulate.run_rate_experiment(tisp.simulate.ExperimentSpec.from_dict(doc))
+    code, out, err = run(capsys, ["rate", "--config", str(write_config(tmp_path, doc)),
+                                  "--out", str(tmp_path / "rate")])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid rate config: sigma") and len(err.splitlines()) == 1
 
 
 def test_rate_experiment_cli(capsys, tmp_path):

@@ -49,14 +49,13 @@ def random_rules(seed=0, draws=6):
     rules = []
     for i in range(draws):
         lam = 0.0 if i % 2 == 0 else float(rng.uniform(0.1, 2.0))
-        rules += rule_catalog(
-            lam=lam,
-            eta=float(rng.uniform(0.0, 2.0)),
-            a=2.0 + float(rng.uniform(0.05, 3.0)),
-            gamma=1.0 + float(rng.uniform(0.05, 3.0)),
-            r=float(rng.uniform(0.1, 0.9)),
-            zeta=float(rng.uniform(0.1, 2.0)) if lam else 0.0,
-        )
+        eta = float(rng.uniform(0.0, 2.0))
+        a = 2.0 + float(rng.uniform(0.05, 3.0))
+        gamma = 1.0 + float(rng.uniform(0.05, 3.0))
+        r = float(rng.uniform(0.1, 0.9))
+        zeta = float(rng.uniform(0.1, 2.0)) if lam else 0.0
+        own = {"scad": ThresholdRule("scad", lam=lam, a=a), "lr": ThresholdRule("lr", r=r, zeta=zeta)}
+        rules += [own.get(c.kind, c) for c in rule_catalog(lam=lam, eta=eta, gamma=gamma)]
         rules.append(ThresholdRule("berhu", lam=float(rng.uniform(0.1, 2.0)), eta=0.0))
     return rules
 

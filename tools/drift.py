@@ -8,8 +8,9 @@ spec (`decay_large_spec`), the acceptance decay and rate specs
 (`experiment_specs`, written by `run_experiments`), a small all-kinds
 decay spec (gaussian-iid 100x60, J*=4, seeds 0-2, one rule of each of the
 nine kinds), cli-solve's solve: soft at the theory lambda, tol 1e-8, on
-the arrays `cli_instance` gives `tisp simulate`, regenerated as
-`CliSolve.setup` does, and the solves of one pass of perfbench's
+the files `tisp simulate` writes for `cli_instance` (as `CliSolve.setup`
+has it write them), read back by `cli.read_matrix` and `cli.read_vector`
+as `tisp solve` reads them, and the solves of one pass of perfbench's
 multistart workload at seed 0 (`MultiStart.run_pass`).  It also runs the
 oracles: `l0_global_min` at lambda 0.5 and rho = 1.05 ||X||_2 on 40 of
 criterion 6's instances
@@ -30,7 +31,8 @@ occurs:
   certificate residual or minimum slack and its probe
 
 Then it says whether every experiment instance (a blake2b digest of the X,
-y and beta* of each decay seed and each rate cell and seed), every solve's
+y and beta* of each decay seed and each rate cell and seed, and of
+cli-solve's as read from its CSV files), every solve's
 iteration count, recorded iterations, support sizes and `flagged`
 iterations, and every oracle call's support, gap flag, sweep count,
 convergence, continuity flag, violation flag and probe count, are
@@ -50,10 +52,10 @@ from pairing import child_env
 
 # Runs in the checkout's own interpreter: writes one JSON document to stdout.
 CHILD = r"""
-import csv, hashlib, io, json, sys
+import csv, hashlib, io, json, os, sys, tempfile
 import numpy as np
 from perfbench import workloads
-from tisp import oracle, penalty, simulate, solver, thresholding
+from tisp import cli, oracle, penalty, simulate, solver, thresholding
 
 SIZE = sys.argv[1]
 FULL = SIZE == "full"
@@ -72,12 +74,16 @@ def recording(problem, config, start=None):
     return res
 
 
+def digest(*arrays):
+    h = hashlib.blake2b()
+    for a in arrays:
+        h.update(repr(a.shape).encode() + np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
 def digested(*args, **kwargs):  # any signature: the base checkout may differ
     prob = instance(*args, **kwargs)
-    h = hashlib.blake2b()
-    for a in (prob.X, prob.y, prob.beta_star):
-        h.update(np.ascontiguousarray(a).tobytes())
-    instances.append({"instance": h.hexdigest()})
+    instances.append({"instance": digest(prob.X, prob.y, prob.beta_star)})
     return prob
 
 
@@ -106,12 +112,17 @@ records["acceptance solve"] = solves[:]
 solves.clear()
 records["experiment instances"] = instances
 
-doc = workloads.cli_instance(SIZE)  # as CliSolve.setup regenerates what `tisp simulate` wrote
+doc = workloads.cli_instance(SIZE)  # cli-solve's files, read as `tisp solve` reads them
+with tempfile.TemporaryDirectory() as tmp:
+    with open(os.path.join(tmp, "instance.json"), "w") as f:
+        json.dump(doc, f)
+    if cli.main(["simulate", "--config", f.name, "--seed", "0", "--out", tmp]) != 0:
+        raise RuntimeError("tisp simulate failed")
+    X = cli.read_matrix(os.path.join(tmp, "X.csv"))
+    y, beta_star = (cli.read_vector(os.path.join(tmp, f"{v}.csv")) for v in ("y", "beta_star"))
+records["cli-solve read"] = [{"instance": digest(X, y, beta_star)}]
 spec = simulate.ExperimentSpec.from_dict(doc)
 lam = simulate.resolve_lambda(spec, spec.p)
-X = simulate.gen_design(spec, 0)
-beta_star = simulate.gen_beta_star(spec, 0, lam=lam)
-y = simulate.gen_response(X, beta_star, spec.sigma, spec.noise_kind, 0)
 config = solver.SolverConfig(rule=thresholding.parse_rule(f"soft(lambda={lam!r})"),
                              tol=workloads.CliSolve.TOL)
 recording(solver.Problem(X, y, beta_star=beta_star), config)
