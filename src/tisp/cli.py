@@ -75,8 +75,8 @@ def _read_csv(path: str) -> np.ndarray:
                         f"{path}: line {i}: expected {len(rows[0])} columns, got {len(row)}"
                     )
                 rows.append(row)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a byte the locale encoding cannot decode
+        raise CliError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
     if not rows:
         raise CliError(f"{path}: empty input")
     return np.array(rows, dtype=float)

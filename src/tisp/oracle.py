@@ -464,7 +464,7 @@ def _suite_penalty(seed):
         if rule.kind not in th.LAMBDA_KINDS:
             continue
         spec = pen.PenaltySpec(rule=rule)
-        gap = pen.penalty_theta(spec, grid, lam_override=lam) - pen.penalty_hard(grid, lam)
+        gap = pen.penalty_theta(spec, grid) - pen.penalty_hard(grid, lam)
         worst_dom = max(worst_dom, float(np.max(-gap)))
     checks.append(("penalty-dominance[P_theta>=P_H]", worst_dom <= 1e-10, f"worst violation {worst_dom:.2e}"))
 

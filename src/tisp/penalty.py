@@ -82,17 +82,17 @@ def penalty_l1(t, lam: float):
 # induced penalty
 # ---------------------------------------------------------------------------
 
-def penalty_theta(spec, t, lam_override: float | None = None):
+def penalty_theta(spec, t):
     """Induced penalty P_Theta plus the configured augmentation, componentwise.
 
-    `spec` may be a `PenaltySpec` or a bare `ThresholdRule`.  A rule template
-    without lambda needs `lam_override`.
+    `spec` may be a `PenaltySpec` or a bare `ThresholdRule`, at its own
+    lambda: a rule template without lambda raises.
     """
     spec = _as_spec(spec)
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ValueError("penalty input must be finite")
-    out = _penalty_z(spec, np.abs(t), rule_lambda(spec.rule, lam_override))
+    out = _penalty_z(spec, np.abs(t), rule_lambda(spec.rule))
     return out if out.ndim else float(out)
 
 
@@ -151,17 +151,16 @@ def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     return recurse(a, b, fa, fm, fb, whole, tol, 50)
 
 
-def quadrature_kinks(rule: ThresholdRule, lam_override: float | None = None) -> list[float]:
+def quadrature_kinks(rule: ThresholdRule) -> list[float]:
     """Interior u-locations where the penalty integrand changes branch."""
     if rule.kind == "lr":
         jump = _lr_jump(rule.zeta, rule.r)
         return [jump] if jump > 0 else []
-    pieces = integrand_pieces(rule, lam_override)
+    pieces = integrand_pieces(rule)
     return [lo for (lo, _, _, _) in pieces if lo > 0.0]
 
 
-def penalty_theta_quadrature(rule: ThresholdRule, t: float,
-                             lam_override: float | None = None) -> float:
+def penalty_theta_quadrature(rule: ThresholdRule, t: float) -> float:
     """P_Theta(t) by adaptive Simpson quadrature of Theta^{-1}(u) - u, to within 1e-10.
 
     The integration domain is split at integrand kinks so each panel is
@@ -170,10 +169,10 @@ def penalty_theta_quadrature(rule: ThresholdRule, t: float,
     z = abs(float(t))
     if z == 0.0:
         return 0.0
-    cuts = [0.0] + [k for k in quadrature_kinks(rule, lam_override) if k < z] + [z]
+    cuts = [0.0] + [k for k in quadrature_kinks(rule) if k < z] + [z]
 
     def integrand(u):
-        return inverse(rule, u, lam_override) - u
+        return inverse(rule, u) - u
 
     total = 0.0
     per_piece = 1e-10 / max(len(cuts) - 1, 1)
@@ -186,7 +185,7 @@ def penalty_theta_quadrature(rule: ThresholdRule, t: float,
 # objective
 # ---------------------------------------------------------------------------
 
-def energy(spec, problem, beta, rho: float, lam_override: float | None = None) -> float:
+def energy(spec, problem, beta, rho: float) -> float:
     """Objective 0.5*||X beta - y||^2 + sum_j P(rho*|beta_j|).
 
     `problem` is a `solver.Problem`, whose memo takes the product X beta;
@@ -196,11 +195,11 @@ def energy(spec, problem, beta, rho: float, lam_override: float | None = None) -
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (problem.p,):
         raise ValueError(f"beta has shape {beta.shape}, expected ({problem.p},)")
-    return _objective(spec, problem.memo.times(beta) - problem.y, rho * beta, lam_override)
+    return _objective(spec, problem.memo.times(beta) - problem.y, rho * beta)
 
 
-def _objective(spec: PenaltySpec, resid, t, lam: float | None = None) -> float:
+def _objective(spec: PenaltySpec, resid, t) -> float:
     # 0.5*||resid||^2 + sum_j P(|t_j|): `energy` without its input checks, at
     # a residual the caller already holds.  `solve` records the same 0.5*r @ r
     # per block of rows at r = y - Xs beta, whose exact negation leaves it equal
-    return float(0.5 * resid @ resid + penalty_theta(spec, t, lam).sum())
+    return float(0.5 * resid @ resid + penalty_theta(spec, t).sum())

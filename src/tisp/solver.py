@@ -20,7 +20,7 @@ import contextlib
 import csv
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -221,12 +221,24 @@ class SupportMemo:
 # threshold schedules
 # ---------------------------------------------------------------------------
 
+# per schedule mode: its own fields, the check they must pass, and its wording
+_SCHEDULE_MODES = {
+    "constant": (("lam",), lambda s: math.isfinite(s.lam) and s.lam >= 0, "lam >= 0"),
+    "geometric": (("lam0", "factor", "floor"),
+                  lambda s: math.isfinite(s.lam0) and 0.0 <= s.floor <= s.lam0 and 0.0 < s.factor < 1.0,
+                  "lam0 >= 0, factor in (0, 1) and 0 <= floor <= lam0"),
+    "explicit": (("values",), lambda s: len(s.values) > 0 and all(math.isfinite(v) and v >= 0 for v in s.values),
+                 "one or more values >= 0"),
+}
+
+
 @dataclass(frozen=True)
 class LambdaSchedule:
     """Per-iteration threshold sequence.
 
     Modes: ``constant`` (lam), ``geometric`` (lam0 * factor^t floored at
-    ``floor``), ``explicit`` (listed values, last one held).
+    ``floor``), ``explicit`` (listed values, last one held).  ValueError
+    unless the mode's own fields are given and in range, and the others None.
     """
 
     mode: str
@@ -236,28 +248,24 @@ class LambdaSchedule:
     floor: float | None = None
     values: tuple[float, ...] | None = None
 
+    def __post_init__(self):
+        if self.mode not in _SCHEDULE_MODES:
+            raise ValueError(f"unknown schedule mode {self.mode!r}; expected one of {tuple(_SCHEDULE_MODES)}")
+        own, ok, wording = _SCHEDULE_MODES[self.mode]
+        if any((getattr(self, f.name) is None) == (f.name in own) for f in fields(self)[1:]) or not ok(self):
+            raise ValueError(f"{self.mode} schedule takes {wording}, and no other field")
+
     @classmethod
     def constant(cls, lam: float) -> "LambdaSchedule":
-        if not (math.isfinite(lam) and lam >= 0):
-            raise ValueError("constant schedule needs lam >= 0")
         return cls(mode="constant", lam=float(lam))
 
     @classmethod
     def geometric(cls, lam0: float, factor: float, floor: float) -> "LambdaSchedule":
-        if not (math.isfinite(lam0) and lam0 >= 0):
-            raise ValueError("geometric schedule needs lam0 >= 0")
-        if not (0.0 < factor < 1.0):
-            raise ValueError("geometric schedule needs factor in (0, 1)")
-        if not (math.isfinite(floor) and 0.0 <= floor <= lam0):
-            raise ValueError("geometric schedule needs 0 <= floor <= lam0")
         return cls(mode="geometric", lam0=float(lam0), factor=float(factor), floor=float(floor))
 
     @classmethod
     def explicit(cls, values) -> "LambdaSchedule":
-        vals = tuple(float(v) for v in values)
-        if not vals or any(not math.isfinite(v) or v < 0 for v in vals):
-            raise ValueError("explicit schedule needs one or more values >= 0")
-        return cls(mode="explicit", values=vals)
+        return cls(mode="explicit", values=tuple(float(v) for v in values))
 
     def value(self, t: int) -> float:
         """Threshold for iteration t (0-based)."""
@@ -339,15 +347,18 @@ class SolverConfig:
 def stepsize_transform(rule: th.ThresholdRule, alpha: float):
     """Rule for step size alpha, whose penalty is alpha times the original one.
 
-    Returns ``(rule_alpha, lam_scale)`` where the transformed threshold is
-    ``lam_scale * lam``.  For soft, mcp, ridge, elastic-net and berhu the
-    induced penalty is alpha times the original everywhere.  For hard and
-    hard-ridge it is so only at 0 and over the original rule's outputs (from
-    lambda on for hard), while rule_alpha's outputs start below them (at
-    sqrt(alpha)*lambda for hard); what the transform scales exactly there is
-    the L0-type penalty: lambda^2/2 per nonzero for hard, the ``l0+l2``
-    augmentation for hard-ridge.  Only rule families closed under this
-    scaling are supported; scad and lr reject alpha < 1.
+    Returns ``(rule_alpha, lam_scale)``: lambda scales by lam_scale, which is
+    alpha, sqrt(alpha (1 + alpha eta) / (1 + eta)) for the jump kinds hard
+    (eta = 0) and hard-ridge, and 1 for ridge; eta scales by alpha, gamma by
+    1/alpha, and a template without lambda stays one.  For soft, mcp, ridge,
+    elastic-net and berhu the induced penalty is alpha times the original
+    everywhere.  For hard and hard-ridge it is so only at 0 and over the
+    original rule's outputs (from lambda on for hard), while rule_alpha's
+    outputs start below them (at sqrt(alpha)*lambda for hard); what the
+    transform scales exactly there is the L0-type penalty: lambda^2/2 per
+    nonzero for hard, the ``l0+l2`` augmentation for hard-ridge.  Only rule
+    families closed under this scaling are supported; scad and lr reject
+    alpha < 1.
 
     The damped step beta <- rule_alpha(beta + alpha Xs'(y - Xs beta)) is
     the plain step on (sqrt(alpha) Xs, sqrt(alpha) y), so it descends
@@ -360,25 +371,15 @@ def stepsize_transform(rule: th.ThresholdRule, alpha: float):
         raise ConfigurationError("alpha must lie in (0, 1]")
     if alpha == 1.0:
         return rule, 1.0
-    kind = rule.kind
-    if kind == "soft":
-        return rule.with_lambda(alpha * rule.lam), alpha
-    if kind == "hard":
-        s = math.sqrt(alpha)
-        return rule.with_lambda(s * rule.lam), s
-    if kind == "mcp":
-        out = replace(rule, lam=alpha * rule.lam, gamma=rule.gamma / alpha)
-        return out, alpha
-    if kind == "ridge":
-        return replace(rule, eta=alpha * rule.eta), 1.0
-    if kind in ("elastic-net", "berhu"):
-        out = replace(rule, lam=alpha * rule.lam, eta=alpha * rule.eta)
-        return out, alpha
-    if kind == "hard-ridge":
-        s = math.sqrt(alpha * (1.0 + alpha * rule.eta) / (1.0 + rule.eta))
-        out = replace(rule, lam=s * rule.lam, eta=alpha * rule.eta)
-        return out, s
-    raise ConfigurationError(f"stepsize alpha < 1 is not supported for rule {kind!r}")
+    if rule.kind in ("scad", "lr"):
+        raise ConfigurationError(f"stepsize alpha < 1 is not supported for rule {rule.kind!r}")
+    eta = rule.eta or 0.0  # hard is hard-ridge at eta = 0
+    jump = math.sqrt(alpha * (1.0 + alpha * eta) / (1.0 + eta))
+    s = {"hard": jump, "hard-ridge": jump, "ridge": 1.0}.get(rule.kind, alpha)
+    out = replace(rule, lam=None if rule.lam is None else s * rule.lam,
+                  eta=None if rule.eta is None else alpha * rule.eta,
+                  gamma=None if rule.gamma is None else rule.gamma / alpha)
+    return out, s
 
 
 # ---------------------------------------------------------------------------
@@ -601,24 +602,23 @@ def _scaled(problem: Problem, rho: float) -> _ScaledProblem:
 
 
 def tisp_step(beta, scaled_problem: Problem, rule: th.ThresholdRule,
-              lam: float | None = None, alpha: float = 1.0) -> np.ndarray:
+              alpha: float = 1.0) -> np.ndarray:
     """One iteration beta <- Theta(beta + alpha * Xs'(y - Xs beta); lam_alpha).
 
-    Operates in the scaled coordinate system (design Xs with norm <= 1).
-    ``lam`` overrides the rule's threshold for this step; the alpha
-    adjustment of the threshold is applied internally.
+    Operates in the scaled coordinate system (design Xs with norm <= 1), at
+    the rule's own lambda; the alpha adjustment of the threshold is applied
+    internally.
     """
     beta = np.asarray(beta, dtype=float)
     p = scaled_problem.p
     if beta.shape != (p,):
         raise ValueError(f"beta has shape {beta.shape}, expected ({p},)")
-    rule_a, lam_scale = stepsize_transform(rule, alpha)
-    lam = th.rule_lambda(rule_a, None if lam is None else lam_scale * float(lam))
+    rule_a = stepsize_transform(rule, alpha)[0]
     memo = scaled_problem.memo
     nz = memo.support(beta)
     with np.errstate(over="ignore", invalid="ignore"):  # _step reports non-finite values
         r = scaled_problem.y - memo.times(beta, nz)
-        z, beta_new = _step(beta, r, nz, memo, alpha, rule_a, lam)
+        z, beta_new = _step(beta, r, nz, memo, alpha, rule_a, th.rule_lambda(rule_a))
     if not np.isfinite(beta_new).all():
         raise _nonfinite(1, z)
     return beta_new

@@ -200,20 +200,17 @@ def rule_lambda(rule: ThresholdRule, lam_override: float | None = None) -> float
     if lam_override is not None:
         return float(lam_override)
     if rule.lam is None:
-        raise ValueError(f"rule {rule.kind!r} has no lambda; pass lam_override")
+        raise ValueError(f"rule {rule.kind!r} has no lambda; use rule.with_lambda")
     return rule.lam
 
 
-def apply_vec(rule: ThresholdRule, t, lam_override: float | None = None) -> np.ndarray:
-    """Apply the rule componentwise to an array.
-
-    `lam_override` substitutes the threshold parameter for this call only
-    (used by threshold schedules); invalid for `ridge` and `lr`.
-    """
+def apply_vec(rule: ThresholdRule, t) -> np.ndarray:
+    """Apply the rule componentwise to an array, at the rule's own lambda
+    (`rule.with_lambda` gives the rule at another)."""
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ValueError("thresholding input must be finite")
-    return _theta(rule, t, np.abs(t), rule_lambda(rule, lam_override))
+    return _theta(rule, t, np.abs(t), rule_lambda(rule))
 
 
 def _theta(rule: ThresholdRule, t: np.ndarray, z: np.ndarray, lam: float | None) -> np.ndarray:
@@ -271,12 +268,12 @@ def _theta_pieces(rule: ThresholdRule, lam: float | None) -> tuple:
     return tuple(pieces)
 
 
-def apply(rule: ThresholdRule, t: float, lam_override: float | None = None) -> float:
+def apply(rule: ThresholdRule, t: float) -> float:
     """Scalar form of `apply_vec`."""
-    return float(apply_vec(rule, np.array([t]), lam_override)[0])
+    return float(apply_vec(rule, np.array([t]))[0])
 
 
-def inverse(rule: ThresholdRule, u: float, lam_override: float | None = None) -> float:
+def inverse(rule: ThresholdRule, u: float) -> float:
     """Generalized inverse Theta^{-1}(u) = sup{t : Theta(t) <= u} for u >= 0.
 
     inverse(0) is the rule's effective threshold.
@@ -284,9 +281,8 @@ def inverse(rule: ThresholdRule, u: float, lam_override: float | None = None) ->
     if not (math.isfinite(u) and u >= 0.0):
         raise ValueError("inverse is defined for finite u >= 0")
     if rule.kind != "lr":
-        pieces = integrand_pieces(rule, lam_override)
+        pieces = integrand_pieces(rule)
         return next((1.0 + m) * u + q for _, hi, m, q in pieces if u <= hi)
-    rule_lambda(rule, lam_override)  # lr has no lambda to override
     zeta, r = rule.zeta, rule.r
     if zeta == 0.0:
         return u
@@ -300,10 +296,11 @@ def discontinuities(rule: ThresholdRule, lam_override: float | None = None) -> t
 
     Theta jumps where Theta^{-1} is flat: the pieces of slope -1.
     """
+    lam = rule_lambda(rule, lam_override)  # ridge and lr refuse an override
     if rule.kind == "lr":
-        t0 = inverse(rule, 0.0, lam_override)
+        t0 = inverse(rule, 0.0)
         return (t0,) if t0 > 0 else ()
-    return tuple(q for _, _, m, q in integrand_pieces(rule, lam_override) if m == -1.0)
+    return tuple(q for _, _, m, q in integrand_pieces(rule, lam) if m == -1.0)
 
 
 def near_jump(z: np.ndarray, jumps, tol: float):
@@ -332,7 +329,8 @@ def integrand_pieces(rule: ThresholdRule, lam_override: float | None = None):
     integrates them exactly) and Theta itself (`_theta`), so a new
     piecewise-linear rule needs only its pieces here.  lr is not piecewise
     linear and raises, as does a template without lambda and without an
-    override (`rule_lambda`).
+    override (`rule_lambda`); the override is for the solve loop, which holds
+    Theta's threshold as a float, and for `contraction`.
     Zero-width pieces are dropped.
     """
     if rule.kind == "lr":
@@ -423,14 +421,14 @@ def verify_axioms(rule: ThresholdRule, t_grid, apply_fn=None) -> AxiomReport:
     """Check the defining properties of a thresholding rule on grids.
 
     Rules with lambda are checked at lambda = 0.5, 1 and 2.  Reports worst
-    violations; never raises on failure.  `apply_fn(t_array, lam)`
-    may replace the rule's own map (used to exercise the report on corrupted
-    rules in tests).
+    violations; never raises on failure.  `apply_fn(t_array, lam)`, lam None
+    for ridge and lr, may replace the rule's own map (used to exercise the
+    report on corrupted rules in tests).
     """
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
     lams = [0.5, 1.0, 2.0] if rule.kind in LAMBDA_KINDS else [None]
     if apply_fn is None:
-        apply_fn = lambda ts, lam: apply_vec(rule, ts, lam)
+        apply_fn = lambda ts, lam: apply_vec(rule if lam is None else rule.with_lambda(lam), ts)
 
     odd = mono = unb = shr = -math.inf
     for lam in lams:

@@ -125,6 +125,43 @@ def test_solve_malformed_csv(capsys, tmp_path, scalar_files):
     assert "line 2" in err
 
 
+def test_solve_undecodable_csv(capsys, tmp_path, scalar_files):
+    # a byte that is not text in the locale encoding is a read error that
+    # names the file, on one error line
+    design, response = scalar_files
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"1,\xa02\n")
+    code, out, err = run(capsys, ["solve", "--design", str(bad),
+                                  "--response", str(response),
+                                  "--rule", "soft(lambda=1)"])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot read {bad}: ") and err.count("\n") == 1, err
+
+
+def test_solve_template_with_a_schedule_at_alpha_below_one(capsys, tmp_path):
+    # the schedule gives a rule template its lambda; at alpha < 1 the solve
+    # writes what the rule with that lambda writes, byte for byte
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((20, 10))
+    bstar = np.zeros(10)
+    bstar[:3] = [2.0, -1.5, 1.0]
+    files = {}
+    for name, arr in (("X", X), ("y", X @ bstar + 0.3 * rng.standard_normal(20)), ("bstar", bstar)):
+        files[name] = tmp_path / f"{name}.csv"
+        np.savetxt(files[name], arr, delimiter=",")
+    outputs = []
+    for i, rule_args in enumerate((["--rule", "soft", "--lambda-schedule", "constant:0.5"],
+                                   ["--rule", "soft(lambda=0.5)"])):
+        est, trace = tmp_path / f"est{i}.csv", tmp_path / f"trace{i}.csv"
+        code, out, err = run(capsys, ["solve", "--design", str(files["X"]),
+                                      "--response", str(files["y"]), "--beta-star", str(files["bstar"]),
+                                      *rule_args, "--alpha", "0.5", "--out", str(est), "--trace", str(trace)])
+        assert code == 0 and out == "", err
+        outputs.append((est.read_bytes(), trace.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].count(b"\n") > 10
+
+
 def repr_csv(m) -> bytes:
     return "".join(",".join(map(repr, row)) + "\n" for row in m.tolist()).encode()
 
@@ -152,6 +189,7 @@ CSV_CASES = {
     "separator_byte_late": (b"1,2\n3,4\n5,6\n7,8\x1d\n", False),
     "no_final_newline": (b"1,2\n3,4\n5,6", True),
     "bom": (b"\xef\xbb\xbf1,2\n3,4\n", False),
+    "undecodable": (b"1,\xa02\n", False),  # not UTF-8
     "repr_50x7": (repr_csv(np.random.default_rng(0).standard_normal((50, 7))), True),
 }
 

@@ -426,15 +426,14 @@ def test_probe_config_validation():
 
 def regularity_slack_reference(assumption, X, beta, beta_prime, rule, lam, delta, vartheta, K):
     # the reference: one pair per call, each inequality's two sides written out
-    spec = PenaltySpec(rule=rule)
-    lam_pt = lam if rule.kind in LAMBDA_KINDS else None
+    spec = PenaltySpec(rule=rule.with_lambda(lam) if rule.kind in LAMBDA_KINDS else rule)
     d = beta_prime - beta
     ph_d = float(np.sum(penalty_hard(d, lam)))
     l2 = float(d @ d)
     xd = X @ d
     xd2 = float(xd @ xd)
-    pt_b = float(np.sum(penalty_theta(spec, beta, lam_override=lam_pt)))
-    pt_bp = float(np.sum(penalty_theta(spec, beta_prime, lam_override=lam_pt)))
+    pt_b = float(np.sum(penalty_theta(spec, beta)))
+    pt_bp = float(np.sum(penalty_theta(spec, beta_prime)))
     j_b = int(np.count_nonzero(beta))
     L = rule.contraction
     if assumption == "R0":

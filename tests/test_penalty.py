@@ -124,7 +124,7 @@ def test_dominance_chain():
         if r.kind not in LAMBDA_KINDS:
             continue
         spec = PenaltySpec(rule=r)
-        gap = penalty_theta(spec, grid, lam_override=lam) - ph
+        gap = penalty_theta(spec, grid) - ph
         assert np.min(gap) >= -1e-10, r.kind
 
     # ridge has no threshold and genuinely violates the chain near zero,
@@ -231,23 +231,25 @@ def test_energy_accepts_bare_rule_and_checks_shape():
 
 
 def test_penalty_of_a_template_needs_lambda():
-    # a rule template without lambda has no penalty until one is supplied
+    # a rule template without lambda has no penalty until the rule has one
     for r in CATALOG:
         if r.kind not in LAMBDA_KINDS:
             continue
         template = dataclasses.replace(r, lam=None)
-        with pytest.raises(ValueError, match="no lambda"):
-            penalty_theta(template, 1.0)
-        assert penalty_theta(template, 1.5, lam_override=r.lam) == penalty_theta(r, 1.5)
+        for call in (lambda: penalty_theta(template, 1.0), lambda: penalty_theta_quadrature(template, 1.0),
+                     lambda: quadrature_kinks(template)):
+            with pytest.raises(ValueError, match="no lambda"):
+                call()
+        assert penalty_theta(template.with_lambda(r.lam), 1.5) == penalty_theta(r, 1.5)
 
 
 def test_penalty_rejects_nonfinite_and_bad_override():
     spec = PenaltySpec(rule=rule("soft(lambda=1)"))
     with pytest.raises(ValueError):
         penalty_theta(spec, np.array([1.0, np.inf]))
-    for text in ["ridge(eta=0.5)", "lr(r=0.5,zeta=1)"]:
+    for text in ["ridge(eta=0.5)", "lr(r=0.5,zeta=1)"]:  # no lambda to give them
         with pytest.raises(ValueError):
-            penalty_theta(PenaltySpec(rule=rule(text)), 1.0, lam_override=2.0)
+            PenaltySpec(rule=rule(text).with_lambda(2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,11 @@ from tisp.solver import (
 from tisp.thresholding import LAMBDA_KINDS, discontinuities, near_jump, parse_rule, rule_catalog
 
 
+def at_lambda(r, lam):
+    """The rule at threshold lam; ridge and lr, whose lam is None, as they are."""
+    return r if lam is None else r.with_lambda(lam)
+
+
 def rule(text):
     return parse_rule(text, require_lambda=False)
 
@@ -636,6 +641,28 @@ def test_recorded_objective_descends_at_alpha_below_one():
             assert all(b - a <= 1e-12 * abs(a) for a, b in zip(objs, objs[1:])), (spec, alpha, seed)
 
 
+def test_template_with_a_schedule_solves_at_alpha_below_one():
+    # a rule template takes its lambda from the schedule; stepsize_transform
+    # maps it to a template with the same lambda scale, so the solve is the
+    # one of the rule with lambda filled in, bit for bit: a constant
+    # schedule against the rule's own lambda, a geometric one against the
+    # same schedule on the filled-in rule
+    prob = random_problem(23, n=20, p=10, y_scale=2.0)
+    prob = Problem(prob.X, prob.y, beta_star=np.linspace(-1.0, 1.0, 10))
+    geometric = LambdaSchedule.geometric(2.0, 0.9, 0.5)
+    for text in ("soft", "hard", "mcp(gamma=2.5)", "elastic-net(eta=0.4)", "berhu(eta=0.4)",
+                 "hard-ridge(eta=0.4)"):
+        template = rule(text)
+        filled = template.with_lambda(0.5)
+        for sched, ref_sched in ((LambdaSchedule.constant(0.5), None), (geometric, geometric)):
+            got = solve(prob, SolverConfig(rule=template, schedule=sched, alpha=0.5))
+            ref = solve(prob, SolverConfig(rule=filled, schedule=ref_sched, alpha=0.5))
+            assert got.beta.tobytes() == ref.beta.tobytes(), (text, sched.mode)
+            assert (got.trace, got.iterations, got.theta_residual, got.final_lambda) == (
+                ref.trace, ref.iterations, ref.theta_residual, ref.final_lambda), (text, sched.mode)
+        assert stepsize_transform(template, 0.5)[1] == stepsize_transform(filled, 0.5)[1]
+
+
 def test_alpha_below_one_rejected_at_solve_for_scad():
     prob = random_problem(8, n=10, p=4)
     cfg = SolverConfig(rule=rule("scad(lambda=0.5,a=3.7)"), alpha=0.5)
@@ -756,7 +783,6 @@ def test_recorded_objective_and_certificate_at_the_carried_residual():
     # replayed iterate, again exactly.
     for r in rule_catalog(lam=0.6, eta=0.5, gamma=2.5):
         spec = PenaltySpec(rule=r)
-        lam = r.lam if r.kind in LAMBDA_KINDS else None
         for seed, max_iter in [(40, 200), (41, 5)]:
             base = random_problem(seed, n=15, p=25, y_scale=3.0)
             bstar = np.random.default_rng(seed).standard_normal(base.p)
@@ -768,14 +794,14 @@ def test_recorded_objective_and_certificate_at_the_carried_residual():
                 assert trace.iterations == list(range(1, res.iterations + 1))
                 beta = np.zeros(prob.p)
                 for i, (t, obj) in enumerate(zip(trace.iterations, trace.objective)):
-                    beta = tisp_step(beta, scaled, r, lam=lam)
-                    assert obj == energy(spec, scaled, beta, 1.0, lam), (r.kind, t)
+                    beta = tisp_step(beta, scaled, r)
+                    assert obj == energy(spec, scaled, beta, 1.0), (r.kind, t)
                     if trace.has_errors:
                         m = error_metrics(beta / res.rho, prob, res.rho)
                         recorded = (trace.pred_err[i], trace.est_err[i], trace.weighted_err[i])
                         assert recorded == (m["pred"], m["est"], m["weighted"]), (r.kind, t)
                 assert np.array_equal(beta / res.rho, res.beta)
-                step = tisp_step(beta, scaled, r, lam=lam)
+                step = tisp_step(beta, scaled, r)
                 assert res.theta_residual == float(np.max(np.abs(beta - step))), r.kind
 
 
@@ -850,11 +876,11 @@ def test_recorded_objective_across_block_flushes(monkeypatch):
             recorded = dict(zip(trace.iterations, zip(trace.objective, trace.support)))
             beta = np.zeros(p)
             for t in range(1, last + 1):
-                lam = sched.value(t - 1) if sched else r.lam
-                beta = tisp_step(beta, scaled, r, lam=lam)
+                r_t = at_lambda(r, sched.value(t - 1) if sched else r.lam)
+                beta = tisp_step(beta, scaled, r_t)
                 if t in recorded:
                     obj, supp = recorded[t]
-                    assert obj == energy(spec, scaled, beta, 1.0, lam), (r.kind, p, t)
+                    assert obj == energy(PenaltySpec(r_t, spec.augmentation), scaled, beta, 1.0), (r.kind, p, t)
                     assert supp == np.count_nonzero(beta), (r.kind, p, t)
             assert res.objective == trace.objective[-1]
             many_blocks += len(trace.iterations) * p >= 3 * 2**16
@@ -915,7 +941,7 @@ def test_trace_columns_and_grazes_across_flushes(monkeypatch):
             z = np.abs(beta + Xs.T @ (scaled.y - Xs @ beta))
             if near_jump(z, discontinuities(r, lam_t), 1e-12):
                 flagged.append(t)
-            step = tisp_step(beta, scaled, r, lam=lam_t)
+            step = tisp_step(beta, scaled, at_lambda(r, lam_t))
             fp_res = float(np.max(np.abs(step - beta)))
             beta = step
             if t % record_every == 0 or t == res.iterations:
@@ -968,6 +994,20 @@ def test_schedule_validation():
         LambdaSchedule.explicit([])
     with pytest.raises(ValueError):
         LambdaSchedule.constant(-1.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(mode="geometric", lam0=-1.0, factor=0.5, floor=-2.0),  # negative thresholds
+    dict(mode="constant"),  # no lam: would run at the rule's lambda
+    dict(mode="bogus", values=(0.5,)),  # would run as explicit
+    dict(mode="constant", lam=0.5, values=(0.5,)),  # another mode's field
+    dict(mode="geometric", lam0=1.0, factor=0.5),  # no floor
+    dict(mode="geometric", lam0=1.0, factor=1.0, floor=0.1),
+    dict(mode="explicit", values=(0.5, math.nan)),
+], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+def test_schedule_built_directly_is_checked(kwargs):
+    with pytest.raises(ValueError):
+        LambdaSchedule(**kwargs)
 
 
 def test_parse_schedule():

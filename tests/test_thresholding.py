@@ -61,19 +61,19 @@ def random_rules(seed=0, draws=6):
 
 
 SWEEP = random_rules()
-OVERRIDE = dict(zip(CATALOG + SWEEP, np.random.default_rng(1).uniform(0.0, 2.0, len(CATALOG + SWEEP))))
+OTHER_LAMBDA = dict(zip(CATALOG + SWEEP, np.random.default_rng(1).uniform(0.0, 2.0, len(CATALOG + SWEEP))))
 
 
-def overrides(r):
-    """The rule's own threshold, plus a random override for lambda kinds."""
-    return [None, float(OVERRIDE[r])] if r.kind in LAMBDA_KINDS else [None]
+def at_lambdas(r):
+    """The rule, plus for lambda kinds the rule at a random other lambda."""
+    return [r, r.with_lambda(float(OTHER_LAMBDA[r]))] if r.kind in LAMBDA_KINDS else [r]
 
 
-def knots(r, lam_override=None):
+def knots(r):
     """Interior knots of Theta^{-1}: where its pieces meet."""
     if r.kind == "lr":
         return [_lr_jump(r.zeta, r.r)]
-    return [lo for lo, _, _, _ in integrand_pieces(r, lam_override) if lo > 0.0]
+    return [lo for lo, _, _, _ in integrand_pieces(r) if lo > 0.0]
 
 
 def theta_reference(rule, t, z, lam):
@@ -136,20 +136,20 @@ def theta_reference(rule, t, z, lam):
     raise AssertionError(kind)
 
 
-def seams(r, lam_override=None):
+def seams(r):
     """|t| where Theta changes formula: each end of each piece, mapped into t
     by the piece itself, and the jumps; for lr its zero boundary."""
     if r.kind == "lr":
         return [_lr_zero_boundary(r.zeta, r.r)]
-    ends = [(1.0 + m) * u + q for lo, hi, m, q in integrand_pieces(r, lam_override)
+    ends = [(1.0 + m) * u + q for lo, hi, m, q in integrand_pieces(r)
             for u in (lo, hi) if math.isfinite(u)]
-    return ends + list(discontinuities(r, lam_override))
+    return ends + list(discontinuities(r))
 
 
-def seam_grid(r, lam_override=None, seed=0):
+def seam_grid(r, seed=0):
     """Both signs of: 0, every seam with its two float neighbours, and random
     points up to three times the largest seam."""
-    at = np.array(seams(r, lam_override) + [0.0])
+    at = np.array(seams(r) + [0.0])
     near = np.concatenate([at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf)])
     near = near[near >= 0.0]
     top = 3.0 * (at.max() or 1.0)
@@ -211,65 +211,65 @@ BIT_EXACT = ("hard", "hard-ridge", "ridge", "elastic-net", "berhu", "lr")
 NEAR_LIMIT = [rule("scad(lambda=1,a=2.0001)"), rule("mcp(lambda=1,gamma=1.0001)")]
 
 
-def lambdas(r):
-    """`overrides` (off CATALOG and SWEEP, the rule's own threshold) plus the
-    extreme thresholds 0, 1e-300 and 1e300."""
+def at_all_lambdas(r):
+    """`at_lambdas` (off CATALOG and SWEEP, the rule alone) plus the rule at
+    the extreme thresholds 0, 1e-300 and 1e300."""
     if r.kind not in LAMBDA_KINDS:
-        return [None]
-    return (overrides(r) if r in OVERRIDE else [None]) + [0.0, 1e-300, 1e300]
+        return [r]
+    return (at_lambdas(r) if r in OTHER_LAMBDA else [r]) + [r.with_lambda(x) for x in (0.0, 1e-300, 1e300)]
 
 
 def test_theta_matches_the_reference():
-    for r in CATALOG + SWEEP + NEAR_LIMIT:
-        for lo in lambdas(r):
-            t = seam_grid(r, lo)
-            got = apply_vec(r, t, lo)
-            want = theta_reference(r, t, np.abs(t), rule_lambda(r, lo))
-            assert np.array_equal(got, want) or r.kind in ("scad", "mcp"), (str(r), lo)
+    for r0 in CATALOG + SWEEP + NEAR_LIMIT:
+        for r in at_all_lambdas(r0):
+            t = seam_grid(r)
+            got = apply_vec(r, t)
+            want = theta_reference(r, t, np.abs(t), rule_lambda(r))
+            assert np.array_equal(got, want) or r.kind in ("scad", "mcp"), str(r)
             if r.kind in BIT_EXACT:
                 # bits too, away from t = 0: hard at lambda = 0 and ridge at
                 # eta = 0 have the same single piece, and the reference maps
                 # -0.0 to +0.0 for the one and to -0.0 for the other
                 nz = t != 0.0
-                assert np.array_equal(got[nz].view(np.int64), want[nz].view(np.int64)), (str(r), lo)
+                assert np.array_equal(got[nz].view(np.int64), want[nz].view(np.int64)), str(r)
             elif r.kind in ("scad", "mcp"):
                 # 1 + m = 1 - 1/(a - 1) or 1 - 1/gamma loses digits as the knee
                 # nears its limit
                 tame = r.a >= 2.5 if r.kind == "scad" else r.gamma >= 1.5
                 scale = np.maximum(np.abs(got), np.abs(want))
                 tol = 8.0 * np.spacing(scale) if tame else 2e-12 * scale
-                assert np.all(np.abs(got - want) <= tol), (str(r), lo)
+                assert np.all(np.abs(got - want) <= tol), str(r)
 
 
 def test_theta_pieces_start_on_the_reference_seams():
     seams = {"hard": lambda r, lam: [lam], "hard-ridge": lambda r, lam: [lam],
              "berhu": lambda r, lam: [lam + lam / r.eta] if r.eta else [],
              "scad": lambda r, lam: [2.0 * lam, r.a * lam], "mcp": lambda r, lam: [r.gamma * lam]}
-    for r in CATALOG + SWEEP + NEAR_LIMIT:
-        for lo in lambdas(r):
+    for r0 in CATALOG + SWEEP + NEAR_LIMIT:
+        for r in at_all_lambdas(r0):
             if r.kind == "lr":
                 continue
-            lam = rule_lambda(r, lo)
+            lam = rule_lambda(r)
             want = [x for x in seams.get(r.kind, lambda r, lam: [])(r, lam) if 0.0 < x < math.inf]
-            assert [p[0] for p in _theta_pieces(r, lam) if p[0] is not None] == want, (str(r), lo)
+            assert [p[0] for p in _theta_pieces(r, lam) if p[0] is not None] == want, str(r)
 
 
 def test_theta_stays_between_zero_and_t_at_the_seams():
-    for r in NEAR_LIMIT:
-        for lo in lambdas(r):
-            t = seam_grid(r, lo)
-            mag = np.sign(t) * apply_vec(r, t, lo)
-            assert np.all(mag >= 0.0) and np.all(mag <= np.abs(t)), (str(r), lo)
+    for r0 in NEAR_LIMIT:
+        for r in at_all_lambdas(r0):
+            t = seam_grid(r)
+            mag = np.sign(t) * apply_vec(r, t)
+            assert np.all(mag >= 0.0) and np.all(mag <= np.abs(t)), str(r)
 
 
 def test_zero_region_gives_positive_zero():
     assert not np.signbit(apply_vec(rule("soft(lambda=1)"), [-0.5, 0.5])).any()
-    for r in CATALOG + SWEEP:
-        for lo in overrides(r):
-            tau = inverse(r, 0.0, lo)
+    for r0 in CATALOG + SWEEP:
+        for r in at_lambdas(r0):
+            tau = inverse(r, 0.0)
             t = np.linspace(-tau, tau, 101)
-            out = apply_vec(r, t[t != 0.0], lo)
-            assert np.all(out == 0.0) and not np.signbit(out).any(), (str(r), lo)
+            out = apply_vec(r, t[t != 0.0])
+            assert np.all(out == 0.0) and not np.signbit(out).any(), str(r)
 
 
 def test_identity_rules_return_a_new_array():
@@ -312,19 +312,17 @@ def test_lr_matches_brute_force_prox():
 
 def test_inverse_is_grid_supremum():
     # Theta^{-1}(u) = sup{t : Theta(t) <= u}, checked against a dense grid,
-    # also exactly on the knots and under a lambda override
+    # also exactly on the knots and at a second lambda
     t = np.linspace(0.0, 25.0, 50001)
     spacing = t[1] - t[0]
-    for r in CATALOG + SWEEP:
-        for lo in overrides(r):
-            out = apply_vec(r, t, lo)
-            us = [0.0, 0.25, 0.5, 1.0, 1.7, 2.5, 4.0] + [k for k in knots(r, lo) if k <= 6.0]
+    for r0 in CATALOG + SWEEP:
+        for r in at_lambdas(r0):
+            out = apply_vec(r, t)
+            us = [0.0, 0.25, 0.5, 1.0, 1.7, 2.5, 4.0] + [k for k in knots(r) if k <= 6.0]
             for u in us:
                 ok = t[out <= u + 1e-9]
                 grid_sup = float(ok[-1])
-                assert inverse(r, u, lo) == pytest.approx(grid_sup, abs=2 * spacing), (str(r), lo, u)
-                if lo is not None:
-                    assert inverse(r, u, lo) == inverse(r.with_lambda(lo), u)
+                assert inverse(r, u) == pytest.approx(grid_sup, abs=2 * spacing), (str(r), u)
 
 
 def test_inverse_frozen():
@@ -372,7 +370,7 @@ def test_axiom_report_catches_oddness_violation():
     t_grid = np.linspace(-10.0, 10.0, 2001)
 
     def shifted(t, lam):
-        return apply_vec(r, t, lam) + 0.05
+        return apply_vec(r.with_lambda(lam), t) + 0.05
 
     report = verify_axioms(r, t_grid, apply_fn=shifted)
     assert not report.passed
@@ -469,9 +467,9 @@ def test_discontinuities():
     }
     for r in CATALOG:
         assert discontinuities(r) == pytest.approx(expected[r.kind])
-    for r in SWEEP:
-        for lo in overrides(r):
-            lam = r.lam if lo is None else lo
+    for r0 in SWEEP:
+        for r in at_lambdas(r0):
+            lam = r.lam
             if r.kind in ("hard", "hard-ridge"):
                 want = (lam,) if lam > 0 else ()
             elif r.kind == "lr":
@@ -479,12 +477,13 @@ def test_discontinuities():
                 want = (t0,) if t0 > 0 else ()
             else:
                 want = ()
-            got = discontinuities(r, lo)
-            assert got == want, (str(r), lo)
+            got = discontinuities(r)
+            assert got == want, str(r)
+            assert discontinuities(r0, lam) == got, str(r)  # the solve loop's spelling
             for d in got:
                 # Theta is zero at the jump and leaps to a fraction of it beyond
-                below, beyond = apply_vec(r, np.array([d, d * (1.0 + 1e-12)]), lo)
-                assert below == 0.0 and beyond >= 0.1 * d, (str(r), lo, d)
+                below, beyond = apply_vec(r, np.array([d, d * (1.0 + 1e-12)]))
+                assert below == 0.0 and beyond >= 0.1 * d, (str(r), d)
 
 
 def test_near_jump_equals_the_broadcast_test():
@@ -544,22 +543,18 @@ def test_default_contraction_grid():
 
 
 # ---------------------------------------------------------------------------
-# lambda override
+# lambda from the rule
 # ---------------------------------------------------------------------------
 
-def test_lambda_override_matches_rebuilt_rule():
-    t = np.linspace(-5, 5, 101)
-    base = rule("soft(lambda=1)")
-    rebuilt = base.with_lambda(2.0)
-    assert np.array_equal(apply_vec(base, t, 2.0), apply_vec(rebuilt, t))
-
-
 def test_lambda_override_rejected_for_parameterless_rules():
+    # only the solve loop's integrand_pieces and discontinuities take a
+    # threshold besides the rule's; ridge and lr have none to take
     for text in ["ridge(eta=0.5)", "lr(r=0.5,zeta=1)"]:
+        for call in (rule_lambda, integrand_pieces, discontinuities):
+            with pytest.raises(ValueError):
+                call(rule(text), 2.0)
         with pytest.raises(ValueError):
-            apply_vec(rule(text), np.array([1.0]), 2.0)
-    with pytest.raises(ValueError):
-        rule("ridge(eta=0.5)").with_lambda(1.0)
+            rule(text).with_lambda(1.0)
 
 
 def test_template_without_lambda_needs_an_override():
@@ -574,17 +569,17 @@ def test_template_without_lambda_needs_an_override():
         calls = [lambda: rule_lambda(template), lambda: integrand_pieces(template),
                  lambda: inverse(template, 0.0), template.effective_threshold,
                  lambda: discontinuities(template), lambda: apply_vec(template, t),
-                 lambda: penalty_theta_quadrature(template, 2.0)]
+                 lambda: apply(template, 1.0), lambda: penalty_theta_quadrature(template, 2.0)]
         for call in calls:
-            with pytest.raises(ValueError, match="no lambda"):
+            with pytest.raises(ValueError, match="no lambda; use rule.with_lambda"):
                 call()
         # lambda-free: the contraction constant
         assert template.contraction == r.contraction
+        assert template.with_lambda(r.lam) == r
+        # the solve loop's spelling: the threshold as a float beside the rule
         assert rule_lambda(template, r.lam) == r.lam
-        assert inverse(template, 0.7, r.lam) == inverse(r, 0.7)
+        assert integrand_pieces(template, r.lam) == integrand_pieces(r)
         assert discontinuities(template, r.lam) == discontinuities(r)
-        assert np.array_equal(apply_vec(template, t, r.lam), apply_vec(r, t))
-        assert penalty_theta_quadrature(template, 2.0, lam_override=r.lam) == penalty_theta_quadrature(r, 2.0)
 
 
 # ---------------------------------------------------------------------------

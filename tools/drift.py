@@ -10,8 +10,10 @@ decay spec (gaussian-iid 100x60, J*=4, seeds 0-2, one rule of each of the
 nine kinds), cli-solve's solve: soft at the theory lambda, tol 1e-8, on
 the files `tisp simulate` writes for `cli_instance` (as `CliSolve.setup`
 has it write them), read back by `cli.read_matrix` and `cli.read_vector`
-as `tisp solve` reads them, and the solves of one pass of perfbench's
-multistart workload at seed 0 (`MultiStart.run_pass`).  It also runs the
+as `tisp solve` reads them, soft, hard, mcp and hard-ridge on the
+all-kinds design at seed 0 with a geometric schedule, at alpha 0.5 and with
+both, and the solves of one pass of perfbench's multistart workload at seed
+0 (`MultiStart.run_pass`).  It also runs the
 oracles: `l0_global_min` at lambda 0.5 and rho = 1.05 ||X||_2 on 40 of
 criterion 6's instances
 (`MultiStart.setup`), `coordinate_descent_local_min` with
@@ -127,6 +129,19 @@ config = solver.SolverConfig(rule=thresholding.parse_rule(f"soft(lambda={lam!r})
                              tol=workloads.CliSolve.TOL)
 recording(solver.Problem(X, y, beta_star=beta_star), config)
 records["cli-solve solve"] = solves[:]
+solves.clear()
+
+# the threshold paths no experiment takes: a geometric schedule, alpha = 0.5
+# and both, for soft, hard, mcp and hard-ridge at the all-kinds design's
+# theory lambda (seed 0)
+lam = simulate.resolve_lambda(all_kinds, all_kinds.p)
+prob = instance(all_kinds, 0, lam)
+geometric = solver.LambdaSchedule.geometric(2.0 * lam, 0.9, lam)
+for text in ("soft", "hard", "mcp(gamma=3)", "hard-ridge(eta=0.5)"):
+    rule = thresholding.parse_rule(text, require_lambda=False).with_lambda(lam)
+    for schedule, alpha in ((geometric, 1.0), (None, 0.5), (geometric, 0.5)):
+        recording(prob, solver.SolverConfig(rule=rule, schedule=schedule, alpha=alpha))
+records["schedule-alpha solve"] = solves[:]
 solves.clear()
 
 ms = workloads.MultiStart(0, SIZE, ".")  # one pass of perfbench's multistart, its solves recorded
