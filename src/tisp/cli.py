@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import locale
 import os
@@ -85,11 +86,11 @@ def _read_csv(path: str) -> np.ndarray:
 def _loadtxt(path: str) -> np.ndarray | None:
     # None where np.loadtxt raises, warns, reads no value, or could read a
     # file that `_read_csv` refuses (a separator byte); on every other file
-    # both give the same array.  The file is parsed in line-aligned byte
-    # ranges at once, one per usable CPU and at most one per _RANGE_BYTES:
-    # this process parses the first, a forked child each other one and
-    # sends back its rows.  Each line is one record (no comments, no
-    # quotes), so the ranges' rows stacked are the whole file's rows.
+    # both give the same array.  The file is parsed in `_workers(size)`
+    # line-aligned byte ranges at once: this process parses the first, a
+    # forked child each other one and sends back its rows.
+    # Each line is one record (no comments, no quotes), so the ranges' rows
+    # stacked are the whole file's rows.
     children = []  # (pid, read end of its pipe) until reaped
     try:
         with open(path, "rb") as f:
@@ -98,7 +99,7 @@ def _loadtxt(path: str) -> np.ndarray | None:
                     return None
             bounds = _range_bounds(f, f.tell())
             for start, stop in zip(bounds[1:-1], bounds[2:]):
-                children.append(_fork_range(path, start, stop, children))
+                _fork(children, functools.partial(_send_range, path, start, stop))
             first = _parse_range(f, 0, bounds[1])
         shapes = [first.shape]
         for _, fd in children:
@@ -118,30 +119,27 @@ def _loadtxt(path: str) -> np.ndarray | None:
             if not _read_into(fd, m[at:at + r]):
                 return None
             at += r
-        while children:
-            pid, fd = children.pop()
-            os.close(fd)
-            if os.waitpid(pid, 0)[1] != 0:
-                return None
-        return m
+        return m if all(_join(children, c) for c in children[:]) else None
     except (OSError, ValueError, Warning):
         return None
     finally:
-        # a child still parsing finds its pipe closed when it writes, and exits
-        for _, fd in children:
-            os.close(fd)
-        for pid, _ in children:
-            os.waitpid(pid, 0)
+        _reap(children)
+
+
+def _workers(size: int) -> int:
+    """Ranges for `size` bytes: one per CPU this process may run on and at
+    most one per _RANGE_BYTES; one on a platform without fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, size // _RANGE_BYTES))
 
 
 def _range_bounds(f, size: int) -> list:
     """0, the starts of the later ranges and `size`: W - 1 offsets spread
-    evenly, each moved forward to the next line start, W = min(usable CPUs,
-    size // _RANGE_BYTES); where a line spans two offsets, ranges merge."""
-    w = 1
-    if hasattr(os, "fork"):
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        w = max(1, min(cpus or 1, size // _RANGE_BYTES))
+    evenly, each moved forward to the next line start, W = `_workers(size)`;
+    where a line spans two offsets, ranges merge."""
+    w = _workers(size)
     bounds = [0]
     for k in range(1, w):
         f.seek(k * size // w - 1)
@@ -170,18 +168,28 @@ def _parse_range(f, start: int, stop: int) -> np.ndarray:
                           encoding=locale.getpreferredencoding(False))
 
 
-def _fork_range(path: str, start: int, stop: int, children: list) -> tuple:
-    """(pid, read end) of a forked child that parses bytes [start, stop) of
-    path and writes their shape (two int64) and float64 rows to the pipe,
-    then leaves by os._exit: no atexit handler or buffer flush of this
-    process runs twice."""
+def _send_range(path: str, start: int, stop: int, out) -> None:
+    # a reading child's work: bytes [start, stop) of path parsed on its own
+    # handle, sent as their shape (two int64) and float64 rows
+    with open(path, "rb") as f:
+        m = _parse_range(f, start, stop)
+    out.write(np.array(m.shape, dtype=np.int64).tobytes())
+    out.write(np.ascontiguousarray(m).data)
+
+
+def _fork(children: list, work) -> tuple:
+    """(pid, read end of its pipe) of a forked child, appended to children.
+    The child closes every read end it inherits, calls work(out) with the
+    pipe's write end as a binary file and leaves by os._exit, with status 0
+    once work has returned and out is flushed: no atexit handler or buffer
+    flush of this process runs twice.  OSError where the pipe or the fork
+    cannot be made."""
     r, w = os.pipe()
     try:
         with warnings.catch_warnings():
             # Python >= 3.12 warns that fork() in a process with threads (a
-            # BLAS pool) may deadlock the child.  This child cannot: it reads
-            # only its own range on its own handle, calls no BLAS and leaves
-            # by os._exit.
+            # BLAS pool) may deadlock the child.  These children cannot: each
+            # works on its own range, calls no BLAS and leaves by os._exit.
             warnings.filterwarnings("ignore", r"This process .* use of fork\(\)",
                                     DeprecationWarning)
             pid = os.fork()
@@ -194,16 +202,30 @@ def _fork_range(path: str, start: int, stop: int, children: list) -> tuple:
         try:
             for fd in [r] + [fd for _, fd in children]:
                 os.close(fd)
-            with open(path, "rb") as f:
-                m = _parse_range(f, start, stop)
             with open(w, "wb") as out:
-                out.write(np.array(m.shape, dtype=np.int64).tobytes())
-                out.write(np.ascontiguousarray(m).data)
+                work(out)
             status = 0
         finally:
             os._exit(status)
     os.close(w)
+    children.append((pid, r))
     return pid, r
+
+
+def _join(children: list, child: tuple) -> bool:
+    """Close child's read end, reap it and drop it from children: True when
+    it exited with status 0."""
+    children.remove(child)
+    pid, fd = child
+    os.close(fd)
+    return os.waitpid(pid, 0)[1] == 0
+
+
+def _reap(children: list) -> None:
+    # every child still listed, on every path: one still working finds its
+    # pipe closed when it writes, and exits
+    while children:
+        _join(children, children[-1])
 
 
 def _read_into(fd: int, arr: np.ndarray) -> bool:
@@ -231,8 +253,46 @@ def _write_vector(vec, f) -> None:
     f.writelines(repr(v) + "\n" for v in np.asarray(vec, dtype=float).tolist())
 
 
+def _lines(mat):
+    return (",".join(map(repr, row)) + "\n" for row in mat.tolist())
+
+
+def _send_lines(mat, out) -> None:
+    # a writing child's work: its rows formatted whole, then sent; a child
+    # that streamed would wait on the 64 KB pipe until this process had
+    # formatted its own range
+    out.write("".join(_lines(mat)).encode())
+
+
 def _write_matrix(mat, f) -> None:
-    f.writelines(",".join(map(repr, row)) + "\n" for row in np.asarray(mat, dtype=float).tolist())
+    # `_workers(mat.nbytes)` contiguous row ranges, at most one per row:
+    # this process formats the first, a forked child each other one.  A
+    # child's text is written once it has been read to EOF and the child
+    # has exited with status 0; where the fork failed or the child did not,
+    # this process formats the range.  Either way f gets the text of one
+    # range, in row order.
+    mat = np.asarray(mat, dtype=float)
+    w = max(1, min(_workers(mat.nbytes), len(mat)))
+    cuts = [k * len(mat) // w for k in range(w + 1)]
+    children, later = [], []  # later: (rows, its child or None) per range after the first
+    try:
+        for start, stop in zip(cuts[1:-1], cuts[2:]):
+            try:
+                child = _fork(children, functools.partial(_send_lines, mat[start:stop]))
+            except OSError:
+                child = None
+            later.append((mat[start:stop], child))
+        f.writelines(_lines(mat[:cuts[1]]))
+        for rows, child in later:
+            if child is not None:
+                with open(child[1], "rb", closefd=False) as pipe:
+                    sent = pipe.read()
+                if _join(children, child):
+                    f.write(sent.decode("ascii"))
+                    continue
+            f.writelines(_lines(rows))
+    finally:
+        _reap(children)
 
 
 # ---------------------------------------------------------------------------

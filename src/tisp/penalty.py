@@ -167,9 +167,10 @@ def penalty_theta_quadrature(rule: ThresholdRule, t: float) -> float:
     smooth.  Serves as the cross-check of `penalty_theta`'s exact integration.
     """
     z = abs(float(t))
+    kinks = quadrature_kinks(rule)  # a template raises here, at every t
     if z == 0.0:
         return 0.0
-    cuts = [0.0] + [k for k in quadrature_kinks(rule) if k < z] + [z]
+    cuts = [0.0] + [k for k in kinks if k < z] + [z]
 
     def integrand(u):
         return inverse(rule, u) - u

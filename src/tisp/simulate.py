@@ -15,7 +15,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -580,6 +579,9 @@ def _map_tasks(fn, tasks, jobs: int):
     workers = _worker_count(jobs, len(tasks))
     if workers == 1:
         return [fn(t) for t in tasks]
+    # imported here: it brings multiprocessing and socket, which only a pool needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 

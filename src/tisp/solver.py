@@ -275,6 +275,15 @@ class LambdaSchedule:
             return max(self.lam0 * self.factor**t, self.floor)
         return self.values[min(t, len(self.values) - 1)]
 
+    def settled(self, t: int) -> bool:
+        """Whether iteration t's threshold is held at every later iteration."""
+        if self.mode == "constant":
+            return True
+        lam = self.value(t)
+        if self.mode == "geometric":
+            return lam == self.floor
+        return all(v == lam for v in self.values[t:])
+
 
 def parse_schedule(text: str) -> LambdaSchedule:
     """Parse ``constant:0.5`` / ``geometric:1.0,0.8,0.01`` / ``explicit:0.9,0.5``."""
@@ -774,7 +783,8 @@ def resolve_rho(problem: Problem, config: SolverConfig) -> float:
 
 def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
     """Run the thresholding iteration until the sup-norm of successive
-    iterates falls below config.tol.
+    iterates falls below config.tol at a threshold the schedule, if any,
+    holds from then on (`LambdaSchedule.settled`).
 
     `start` is an initial coefficient vector in the original (unscaled)
     coordinate system; default is zero.  Returns the unscaled estimate,
@@ -789,7 +799,7 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
 
     Per iteration the loop does only what the next one and the stop test
     read: the step, the sup-change, the new iterate's support and residual,
-    and the test fp_res <= tol; a recorded row also takes its error columns.
+    and the stop test; a recorded row also takes its error columns.
     The rest of the trace is stacked and flushed per block: the pending
     rows' iteration numbers, residuals, support sizes (one count_nonzero)
     and objectives, `_BLOCK_ENTRIES` entries at most, and the untested
@@ -871,7 +881,9 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
             nz = support(beta)
             r = y - (memo.Xs @ beta if nz is None else times(beta, nz))  # as in _step
 
-            if it % record_every == 0 or fp_res <= tol or it == max_iter:
+            # converged: within tol at a threshold the schedule no longer lowers
+            done = fp_res <= tol and (schedule is None or schedule.settled(it - 1))
+            if it % record_every == 0 or done or it == max_iter:
                 if trace.has_errors:
                     errs = error_metrics(unscale(beta), problem, rho)
                     trace.pred_err.append(errs["pred"])
@@ -881,7 +893,7 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
                 if len(pending) >= block_rows:
                     flush(it)
 
-            if fp_res <= tol:
+            if done:
                 reason = "converged"
                 break
         flush(it)

@@ -300,6 +300,87 @@ def test_writers_match_the_csv_writer():
     assert buf.getvalue() == csv_writer([[repr(float(v))] for v in mat.ravel()])
 
 
+def test_writers_in_ranges_match_the_csv_writer(forced_ranges):
+    test_writers_match_the_csv_writer()
+
+
+def test_write_in_ranges_gives_the_serial_bytes_and_reaps_every_child(tmp_path, forced_ranges,
+                                                                      monkeypatch):
+    # the unusual values of test_writers_match_the_csv_writer, and reprs
+    mats = [np.array([[np.nan, np.inf, -np.inf, -0.0],
+                      [1e-300, 5e-324, 3.0, -7.0],
+                      [0.1, 2.0**60, -1.5e308, 1.0 / 3.0]]),
+            np.random.default_rng(3).standard_normal((200, 7))]
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    def check(forked):
+        # each matrix to a StringIO and to a file: the bytes of one range
+        for m in mats:
+            forks.clear()
+            buf = io.StringIO()
+            tisp.cli._write_matrix(m, buf)
+            path = tmp_path / "m.csv"
+            with open(path, "w", newline="") as f:
+                tisp.cli._write_matrix(m, f)
+            assert buf.getvalue().encode() == path.read_bytes() == repr_csv(m)
+            assert len(forks) == (2 * min(3, len(m) - 1) if forked else 0)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    check(forked=True)
+
+    def failing_fork():
+        forks.append(1)
+        raise BlockingIOError("no process to spare")
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "fork", failing_fork)
+        check(forked=True)  # every fork tried, every range formatted here
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")  # a platform without fork: one range
+        check(forked=False)
+
+    parent, lines = os.getpid(), tisp.cli._lines
+
+    def failing_in_children(mat):
+        if os.getpid() != parent:
+            raise RuntimeError("child fails")
+        return lines(mat)
+
+    with monkeypatch.context() as m:
+        m.setattr(tisp.cli, "_lines", failing_in_children)
+        check(forked=True)  # each child exits 1: its range is formatted here
+
+    def failing_here(mat):
+        if os.getpid() == parent:
+            raise RuntimeError("parent fails")
+        return lines(mat)
+
+    monkeypatch.setattr(tisp.cli, "_lines", failing_here)
+    with pytest.raises(RuntimeError, match="parent fails"):
+        tisp.cli._write_matrix(mats[1], io.StringIO())
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_simulate_in_ranges_writes_the_serial_bytes(capsys, tmp_path, forced_ranges, monkeypatch):
+    cfg = write_config(tmp_path, DECAY_CONFIG)
+    files = {}
+    for cpus in ({0, 1, 2, 3}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        out_dir = tmp_path / f"inst{len(cpus)}"
+        assert run(capsys, ["simulate", "--config", str(cfg), "--out", str(out_dir)])[0] == 0
+        files[len(cpus)] = [(out_dir / f"{v}.csv").read_bytes() for v in ("X", "y", "beta_star")]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert files[4] == files[1]
+
+
 def test_solve_missing_file(capsys, tmp_path, scalar_files):
     _, response = scalar_files
     code, out, err = run(capsys, ["solve", "--design", str(tmp_path / "nope.csv"),

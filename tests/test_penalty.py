@@ -243,6 +243,17 @@ def test_penalty_of_a_template_needs_lambda():
         assert penalty_theta(template.with_lambda(r.lam), 1.5) == penalty_theta(r, 1.5)
 
 
+def test_quadrature_of_a_template_raises_at_zero_too():
+    # as penalty_theta does: a template has no penalty at any t
+    for r in CATALOG:
+        if r.kind in LAMBDA_KINDS:
+            template = dataclasses.replace(r, lam=None)
+            for call in (penalty_theta, penalty_theta_quadrature):
+                with pytest.raises(ValueError, match="no lambda"):
+                    call(template, 0.0)
+            assert penalty_theta_quadrature(r, 0.0) == 0.0
+
+
 def test_penalty_rejects_nonfinite_and_bad_override():
     spec = PenaltySpec(rule=rule("soft(lambda=1)"))
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Experiment layer: configs, data generation, decay and rate pipelines."""
 
+import concurrent.futures
 import io
 import json
 import math
@@ -321,7 +322,7 @@ def test_experiment_pool_size_is_clamped(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(tisp.simulate.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(tisp.simulate, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     serial, _ = run_decay_experiment(DECAY_SPEC, jobs=1)
     pooled, _ = run_decay_experiment(DECAY_SPEC, jobs=1000)
     assert pool_sizes == [2]  # one task per seed

@@ -1032,6 +1032,49 @@ def test_solve_with_geometric_schedule_reaches_floor():
     assert np.max(np.abs(res.beta - direct.beta)) <= 1e-8
 
 
+def all_kinds_instance():
+    """The all-kinds decay design (gaussian-iid 100x60, J* = 4, seed 0) and
+    its theory lambda."""
+    spec = ExperimentSpec(ensemble="gaussian-iid", n=100, p=60, J_star=4, sigma=1.0,
+                          seeds=(0,), lambda_policy="theory")
+    lam = tisp.simulate.resolve_lambda(spec, spec.p)
+    return tisp.simulate._instance(spec, 0, lam), lam
+
+
+@pytest.mark.parametrize("text", ["hard", "hard-ridge(eta=0.5)"])
+def test_a_schedule_still_lowering_lambda_does_not_converge(text):
+    # from zero, Theta at 4 lambda leaves the iterate at zero: a sup-change of
+    # 0 while the geometric schedule has 14 steps to go to its floor
+    prob, lam = all_kinds_instance()
+    r = parse_rule(text, require_lambda=False).with_lambda(lam)
+    res = solve(prob, SolverConfig(rule=r, schedule=LambdaSchedule.geometric(4.0 * lam, 0.9, lam),
+                                   alpha=0.5))
+    assert res.converged and res.final_lambda == lam
+    assert res.iterations > 15 and np.count_nonzero(res.beta) > 0
+
+
+def test_an_explicit_plateau_is_not_the_last_value():
+    # two iterations at 4 lambda leave the iterate at zero; the solve then
+    # runs as one at lambda from zero, two iterations later
+    prob, lam = all_kinds_instance()
+    r = parse_rule("hard", require_lambda=False).with_lambda(lam)
+    plateau = LambdaSchedule.explicit([4.0 * lam, 4.0 * lam, lam])
+    res = solve(prob, SolverConfig(rule=r, schedule=plateau, alpha=0.5))
+    direct = solve(prob, SolverConfig(rule=r, alpha=0.5))
+    assert res.converged and res.final_lambda == lam
+    assert res.iterations == direct.iterations + 2
+    assert res.beta.tobytes() == direct.beta.tobytes()
+
+
+def test_schedule_settles_where_its_values_stop_changing():
+    assert LambdaSchedule.constant(0.5).settled(0)
+    geometric = LambdaSchedule.geometric(4.0, 0.5, 1.0)
+    assert [geometric.settled(t) for t in range(4)] == [False, False, True, True]
+    explicit = LambdaSchedule.explicit([3.0, 2.0, 2.0, 1.0, 1.0])
+    assert [explicit.settled(t) for t in range(7)] == [False, False, False, True, True, True, True]
+    assert LambdaSchedule.explicit([2.0, 2.0]).settled(0)
+
+
 def test_config_validation():
     soft = rule("soft(lambda=1)")
     with pytest.raises(ConfigurationError):

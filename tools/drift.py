@@ -33,8 +33,8 @@ occurs:
   certificate residual or minimum slack and its probe
 
 Then it says whether every experiment instance (a blake2b digest of the X,
-y and beta* of each decay seed and each rate cell and seed, and of
-cli-solve's as read from its CSV files), every solve's
+y and beta* of each decay seed and each rate cell and seed, of cli-solve's
+as read from its CSV files, and of the bytes of those files), every solve's
 iteration count, recorded iterations, support sizes and `flagged`
 iterations, and every oracle call's support, gap flag, sweep count,
 convergence, continuity flag, violation flag and probe count, are
@@ -122,6 +122,12 @@ with tempfile.TemporaryDirectory() as tmp:
         raise RuntimeError("tisp simulate failed")
     X = cli.read_matrix(os.path.join(tmp, "X.csv"))
     y, beta_star = (cli.read_vector(os.path.join(tmp, f"{v}.csv")) for v in ("y", "beta_star"))
+    files = hashlib.blake2b()  # the bytes `tisp simulate` wrote, each prefixed by its length
+    for v in ("X", "y", "beta_star"):
+        with open(os.path.join(tmp, f"{v}.csv"), "rb") as f:
+            data = f.read()
+        files.update(repr(len(data)).encode() + data)
+records["cli-solve files"] = [{"instance": files.hexdigest()}]
 records["cli-solve read"] = [{"instance": digest(X, y, beta_star)}]
 spec = simulate.ExperimentSpec.from_dict(doc)
 lam = simulate.resolve_lambda(spec, spec.p)
