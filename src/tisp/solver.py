@@ -202,8 +202,8 @@ class SupportMemo:
         if nz is _SCAN:
             nz = self.support(b)
         if nz is None:
-            return self.Xs @ b
-        return (b[nz] / self.rho) @ (self._store or self)._rows(nz)
+            return self.Xs @ b  # not .dot: at p = 1 it skips a zero b, and a NaN column with it
+        return (b[nz] / self.rho).dot((self._store or self)._rows(nz))
 
     def gradient(self, b, r, nz=_SCAN) -> np.ndarray:
         """(X/rho)'r at the residual r = y - self.times(b); `nz` as in `times`."""
@@ -214,7 +214,7 @@ class SupportMemo:
         store = self._store or self
         if store._xty is None:
             store._xty = self.X.T @ self.y
-        return (store._xty - (b[nz] / self.rho) @ store._rows(nz, gram=True)) / self.rho
+        return (store._xty - (b[nz] / self.rho).dot(store._rows(nz, gram=True))) / self.rho
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +475,7 @@ def _norm_and_steps(X) -> tuple[float, int]:
     np.ldexp(A, -e, out=A)
     if A.size <= _GRAM_SQUARE_ENTRIES:
         # one syrk (A is symmetric); B goes with the partial when the loop returns
-        lam, steps = _power_squared(functools.partial(np.matmul, A @ A.T), _start_vector(A.shape[0]))
+        lam, steps = _power_squared(functools.partial(np.dot, A @ A.T), _start_vector(A.shape[0]))
     else:
         lam, steps = _lanczos_replay(A)
     try:
@@ -520,7 +520,7 @@ def _lanczos_replay(A):
     q_prev, u = np.zeros_like(q), np.empty_like(q)
     alphas, betas, beta, last = [], [], 0.0, None
     for j in range(1, m + 1):
-        np.matmul(A, q, out=u)
+        np.dot(A, q, out=u)
         if beta:
             u -= beta * q_prev
         alpha = float(np.dot(q, u))
@@ -640,7 +640,9 @@ def _step(beta, r, nz, memo, alpha, rule_a, lam, it=1):
     SolverError when v is not finite (`it` numbers the iteration); the check
     must stay on v, because `hard` maps a NaN to 0.  Callers check Theta(v)
     themselves."""
-    g = memo.Xs.T @ r if nz is None else memo.gradient(beta, r, nz)  # dense: one call fewer
+    # .dot is the BLAS call `@` makes, bit for bit, without the matmul ufunc's
+    # dispatch; dense, r.dot(Xs) = Xs'r takes no memo call and no .T view
+    g = r.dot(memo.Xs) if nz is None else memo.gradient(beta, r, nz)
     v = beta + (g if alpha == 1.0 else alpha * g)  # 1.0 * g == g: skip the multiply
     z = np.abs(v)
     if z.size and not math.isfinite(np.maximum.reduce(z)):
@@ -651,7 +653,8 @@ def _step(beta, r, nz, memo, alpha, rule_a, lam, it=1):
 def _sup_change(beta_new, beta, z, it):
     """||beta_new - beta||_inf; SolverError when beta_new is not finite.  A
     non-finite beta_new makes the sup non-finite, so only then is it scanned."""
-    res = float(np.maximum.reduce(np.abs(beta_new - beta))) if beta.size else 0.0
+    d = beta_new - beta
+    res = float(np.maximum.reduce(np.abs(d, out=d))) if d.size else 0.0
     if not math.isfinite(res) and not np.isfinite(beta_new).all():
         raise _nonfinite(it, z)
     return res
@@ -679,8 +682,8 @@ def error_metrics(beta, problem: Problem, rho: float) -> dict:
         raise ValueError("error metrics require a problem with beta_star")
     delta = np.asarray(beta, dtype=float) - problem.beta_star
     xd = problem.memo.times(delta)  # delta's support is supp beta | supp beta*
-    pred = float(xd @ xd)
-    est = float(delta @ delta)
+    pred = float(xd.dot(xd))
+    est = float(delta.dot(delta))
     return {"pred": pred, "est": est, "weighted": rho * rho * est - pred}
 
 
@@ -879,7 +882,7 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
             fp_res = _sup_change(beta_new, beta, z, it)
             beta = beta_new
             nz = support(beta)
-            r = y - (memo.Xs @ beta if nz is None else times(beta, nz))  # as in _step
+            r = y - (memo.Xs.dot(beta) if nz is None else times(beta, nz))  # as in _step
 
             # converged: within tol at a threshold the schedule no longer lowers
             done = fp_res <= tol and (schedule is None or schedule.settled(it - 1))

@@ -1,10 +1,12 @@
 """tools/pairing.py: the rotation of the three sides and the reading against the null."""
 
+import os
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from pairing import SIDES, order, quartiles, ratios, reading
+from pairing import SIDES, order, quartiles, ratios, reading, side_envs
 
 
 @pytest.mark.parametrize("rounds", [3, 6, 30])  # iter_pairs.py's 21: tests/test_iter_pairs.py
@@ -38,3 +40,20 @@ def test_a_change_reads_as_moved_only_beyond_the_null_range():
 def test_for_a_higher_is_better_metric_a_rise_reads_faster():
     assert reading([1.05], NULL, better="higher") == "moved faster"
     assert reading([0.9], NULL, better="higher") == "moved slower"
+
+
+def test_each_checkout_times_with_its_own_bytecode_cache(tmp_path, monkeypatch):
+    # a shell that writes no bytecode would leave one checkout's
+    # __pycache__ and the other's absent; each side gets a filled cache
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    src = Path(__file__).resolve().parents[1] / "src"
+    for name in ("base", "change"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "src").symlink_to(src)
+    with side_envs(str(tmp_path / "base"), str(tmp_path / "change")) as envs:
+        caches = {side: envs[side]["PYTHONPYCACHEPREFIX"] for side in SIDES}
+        assert caches["base"] != caches["change"] and caches["null"] == caches["base"]
+        assert not any("PYTHONDONTWRITEBYTECODE" in env for env in envs.values())
+        for side in ("base", "change"):
+            assert list(Path(caches[side]).rglob("cli*.pyc")), side
+    assert not any(os.path.exists(c) for c in caches.values())

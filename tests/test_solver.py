@@ -222,6 +222,32 @@ def test_spectral_norm_squares_the_gram_only_within_its_memory_budget():
         assert peak < grams * gram_bytes, (shape, peak / gram_bytes)
 
 
+def test_dot_spellings_give_the_matmul_bits():
+    # the solve loop, the memo's over-support products, error_metrics and
+    # the norm's loops spell their products .dot / np.dot(out=), which make
+    # the BLAS call `@` makes without the matmul ufunc's dispatch; a numpy
+    # that split the two would fail here first
+    rng = np.random.default_rng(25)
+    for _ in range(20):
+        Xs = rng.standard_normal((13, 10)) / 3.7
+        b, r = rng.standard_normal(10), rng.standard_normal(13)
+        assert Xs.dot(b).tobytes() == (Xs @ b).tobytes()
+        assert r.dot(Xs).tobytes() == (Xs.T @ r).tobytes()
+        assert float(b.dot(b)) == float(b @ b)
+        for k in (1, 5):  # gathered column copies (k x n) and Gram rows (k x p)
+            for rows in (rng.standard_normal((k, 13)), rng.standard_normal((k, 3000))):
+                u = rng.standard_normal(k)
+                assert u.dot(rows).tobytes() == (u @ rows).tobytes()
+    G = rng.standard_normal((40, 1000))
+    A = G.T @ G  # a Gram of order 1000, over the squaring budget
+    for M in (A, A[:300, :300] @ A[:300, :300]):  # and a squared Gram B = A A
+        v = rng.standard_normal(len(M))
+        got, want = np.empty_like(v), np.empty_like(v)
+        np.dot(M, v, out=got)
+        np.matmul(M, v, out=want)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_scale_problem_roundtrip_and_refusal():
     prob = random_problem(1, n=10, p=4, y_scale=1.0)
     norm = spectral_norm(prob.X)
@@ -1064,6 +1090,18 @@ def test_an_explicit_plateau_is_not_the_last_value():
     assert res.converged and res.final_lambda == lam
     assert res.iterations == direct.iterations + 2
     assert res.beta.tobytes() == direct.beta.tobytes()
+
+
+def test_a_geometric_floor_of_zero_settles_only_where_lambda_underflows():
+    # lam0 * factor^t reaches the floor 0 only by underflow (t = 7073 here),
+    # and a solve converges no earlier than the iteration after it
+    sched = LambdaSchedule.geometric(1.0, 0.9, 0.0)
+    underflow = next(t for t in itertools.count() if sched.value(t) == 0.0)
+    assert sched.value(underflow - 1) > 0.0 and not sched.settled(underflow - 1)
+    prob = random_problem(0, n=20, p=10, y_scale=2.0)
+    res = solve(prob, SolverConfig(rule=rule("soft(lambda=1)"), schedule=sched, record_every=100000))
+    assert res.converged and res.final_lambda == 0.0
+    assert res.iterations >= underflow + 1
 
 
 def test_schedule_settles_where_its_values_stop_changing():

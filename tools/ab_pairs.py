@@ -4,7 +4,9 @@
 
 Runs `python3 perfbench/run.py --trace 0` in `--pairs` triples of
 `pairing`: in BASE_DIR, in CHANGE_DIR and in BASE_DIR again as the null,
-all three runs of triple i at seed `--seed + i`.  Per end-to-end metric
+all three runs of triple i at seed `--seed + i`, each checkout with the
+bytecode cache of `pairing.side_envs`, filled by a tiny run of the
+workload.  Per end-to-end metric
 (direction and bound from CHANGE_DIR's BENCHMARK.json) it prints each
 side's median and [q1, q3], the median per-triple ratio of the change and
 of the null, the null's range, the triples the change won, the reading
@@ -22,14 +24,14 @@ import statistics
 import subprocess
 import sys
 
-from pairing import SIDES, order, quartiles, ratios, reading, verdict
+from pairing import SIDES, order, quartiles, ratios, reading, side_envs, verdict
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run in `checkout`; its last stdout line, parsed."""
+def run_once(checkout: str, workload: str, seed: int, seconds: float, env: dict) -> dict:
+    """One untraced perfbench run in `checkout` under `env`; its last stdout line, parsed."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=checkout, stdin=subprocess.DEVNULL,
+    proc = subprocess.run(argv, cwd=checkout, env=env, stdin=subprocess.DEVNULL,
                           capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -72,14 +74,19 @@ def main(argv=None) -> int:
         ap.error("--pairs must be >= 1")
 
     triples = []
-    for i in range(args.pairs):
-        seed, got = args.seed + i, {}
-        for side in order(i):
-            got[side] = run_once(args.change if side == "change" else args.base,
-                                 args.workload, seed, args.seconds)
-            print(f"triple {i + 1}/{args.pairs} seed {seed} {side}: wall_s "
-                  f"{got[side]['metrics'].get('wall_s', {}).get('value', float('nan')):.4g}", file=sys.stderr)
-        triples.append(got)
+    # the warm-up, a tiny run of the workload, compiles every module a run imports
+    warm = ("perfbench/run.py", "--workload", args.workload, "--seed", "0", "--seconds", "0.01",
+            "--size", "tiny")
+    with side_envs(args.base, args.change, warm) as envs:
+        for i in range(args.pairs):
+            seed, got = args.seed + i, {}
+            for side in order(i):
+                got[side] = run_once(args.change if side == "change" else args.base,
+                                     args.workload, seed, args.seconds, envs[side])
+                print(f"triple {i + 1}/{args.pairs} seed {seed} {side}: wall_s "
+                      f"{got[side]['metrics'].get('wall_s', {}).get('value', float('nan')):.4g}",
+                      file=sys.stderr)
+            triples.append(got)
 
     if args.out:
         with open(args.out, "w") as f:

@@ -4,14 +4,15 @@
 
 Starts one long-lived child per side of `pairing`'s triples, each importing
 `tisp` and criterion 6's instances (perfbench's `MultiStart.setup`) from
-its checkout.  A burst of one kind is 24 solves with `rule_catalog(lam=0.5)`'s
-rule of that kind at rho = 1.05 ||X||_2, tol 1e-10, max_iter 1500: each
-instance from the zero start and from its first two `gaussian_starts(...,
-20, seed=i)`.  In each of 21 rounds each child runs one burst per kind, in
-`pairing.order`.  Per kind it prints the base's and the change's median and
-minimum us/iteration and their ratios, the median per-round ratio of the
-change and of the null, the null's range and the reading against it.  The
-exit status is 1 when the children's iteration counts differ for some kind.
+its checkout, with the bytecode cache of `pairing.side_envs`.  A burst of
+one kind is 24 solves with `rule_catalog(lam=0.5)`'s rule of that kind at
+rho = 1.05 ||X||_2, tol 1e-10, max_iter 1500: each instance from the zero
+start and from its first two `gaussian_starts(..., 20, seed=i)`.  In each
+of 21 rounds each child runs one burst per kind, in `pairing.order`.  Per
+kind it prints the base's and the change's median and minimum
+us/iteration and their ratios, the median per-round ratio of the change
+and of the null, the null's range and the reading against it.  The exit
+status is 1 when the children's iteration counts differ for some kind.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import statistics
 import subprocess
 import sys
 
-from pairing import SIDES, child_env, order, ratios, reading
+from pairing import SIDES, order, ratios, reading, side_envs
 
 # Runs in the checkout's own interpreter: one JSON line per burst request.
 CHILD = r"""
@@ -52,9 +53,9 @@ for line in sys.stdin:
 ROUNDS = 21
 
 
-def start(checkout: str) -> subprocess.Popen:
-    """A child interpreter on one checkout, ready for burst requests."""
-    proc = subprocess.Popen([sys.executable, "-c", CHILD], cwd=checkout, env=child_env(checkout),
+def start(checkout: str, env: dict) -> subprocess.Popen:
+    """A child interpreter on one checkout under `env`, ready for burst requests."""
+    proc = subprocess.Popen([sys.executable, "-c", CHILD], cwd=checkout, env=env,
                             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
     if proc.stdout.readline().strip() != "ready":
         raise RuntimeError(f"{checkout}: child failed to start")
@@ -95,7 +96,9 @@ def main(argv=None) -> int:
     kinds = args.kinds.split(",")
 
     with contextlib.ExitStack() as stack:  # on exit each child reads EOF and is waited for
-        children = {side: stack.enter_context(start(args.change if side == "change" else args.base))
+        envs = stack.enter_context(side_envs(args.base, args.change))
+        children = {side: stack.enter_context(
+                        start(args.change if side == "change" else args.base, envs[side]))
                     for side in SIDES}
         for kind in kinds:  # warm-up, not timed
             for child in children.values():

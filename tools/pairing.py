@@ -4,13 +4,18 @@
 change and the null, a second run of the base's code.  `order` puts each
 side equally often in each slot over any multiple of three rounds.  A
 side's paired ratio is its value over the base's in the same round; the
-null's show what the tools read for no change at all.
+null's show what the tools read for no change at all.  `side_envs` gives
+the timed children of both checkouts the same bytecode state.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import statistics
+import subprocess
+import sys
+import tempfile
 
 SIDES = ("base", "change", "null")
 
@@ -67,6 +72,38 @@ def verdict(base: list, change: list, better: str, bound: float) -> str:
     return "within bound"
 
 
-def child_env(checkout: str) -> dict:
-    """Environment of a child importing `tisp` from the checkout's src/."""
-    return dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
+def child_env(checkout: str, pycache: str | None = None) -> dict:
+    """Environment of a child importing `tisp` from the checkout's src/.
+
+    With `pycache` the child reads and writes its bytecode there
+    (PYTHONPYCACHEPREFIX), whatever PYTHONDONTWRITEBYTECODE the launching
+    shell set: a checkout with a __pycache__ beside its sources imports
+    faster than one without, though the sources are the same.
+    """
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
+    if pycache is not None:
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        env["PYTHONPYCACHEPREFIX"] = pycache
+    return env
+
+
+@contextlib.contextmanager
+def side_envs(base: str, change: str, warm: tuple = ("-c", "import tisp.cli")):
+    """{side: environment} for the timed children of the three sides.
+
+    Each checkout gets its own bytecode cache in a temporary directory,
+    removed on exit, and fills it by one run of `python3 *warm` in the
+    checkout before any side runs, so both checkouts are timed in the same
+    bytecode state; the null shares the base's.  The warm-up should import
+    what the timed children import: a module first compiled in a timed run
+    adds the compiler's memory to its peak RSS (about 9 MB on perfbench's
+    workloads).
+    """
+    with tempfile.TemporaryDirectory(prefix="pairing-pycache-") as tmp:
+        envs = {}
+        for side, checkout in (("base", base), ("change", change)):
+            envs[side] = child_env(checkout, os.path.join(tmp, side))
+            subprocess.run([sys.executable, *warm], cwd=checkout, env=envs[side],
+                           stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, check=True)
+        envs["null"] = envs["base"]
+        yield envs
