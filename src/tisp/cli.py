@@ -4,7 +4,8 @@ Subcommands: ``solve`` one problem from CSV inputs, ``simulate`` a synthetic
 dataset, ``decay``/``rate`` experiment drivers, and ``verify``, which prints
 the checks of the property suites in `oracle.SUITES`.  stdout carries data,
 stderr carries diagnostics.  Exit codes: 0 success, 1 input/configuration
-error (or a failed check), 2 solver hit max_iter.
+error (or a failed check, or an allocation that failed), 2 solver hit
+max_iter.
 """
 
 from __future__ import annotations
@@ -364,7 +365,7 @@ def _require_seed(seed) -> None:
 def cmd_simulate(args) -> int:
     _require_seed(args.seed)
     spec = _load_config(args.config)
-    sim._require_decay_fields(spec)
+    sim._require(spec, "decay")
     seed = args.seed if args.seed is not None else spec.seeds[0]
     inst = sim._instance(spec, seed, sim.resolve_lambda(spec, spec.p))
     os.makedirs(args.out, exist_ok=True)
@@ -458,6 +459,9 @@ def main(argv=None) -> int:
     # RuleParseError, ConfigurationError and SpecError are ValueErrors
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -113,9 +113,11 @@ def _penalty_z(spec: PenaltySpec, z: np.ndarray, lam: float | None) -> np.ndarra
         t0 = _lr_zero_boundary(zeta, r)
         jump = _lr_jump(zeta, r)
         low = t0 * z - 0.5 * z**2
-        head = t0 * jump - 0.5 * jump**2
+        head = t0 * jump - 0.5 * (jump * jump)  # a float ** raises where * gives inf
         zsafe = np.where(z > 0, z, 1.0)
-        high = head + zeta * (zsafe**r - jump**r)
+        # overflows only at a zeta near the float range; below the jump np.where drops it
+        with np.errstate(over="ignore", invalid="ignore"):
+            high = head + zeta * (zsafe**r - jump**r)
         return np.where(z <= jump, low, high)
     # exact integral of the integrand pieces: the piece s(u) = m*u + q on
     # [lo, hi] meets [0, z] in [lo, lo + c], c = clip(z, lo, hi) - lo, where

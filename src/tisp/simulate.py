@@ -30,6 +30,7 @@ class SpecError(ValueError):
 ENSEMBLES = ("gaussian-iid", "gaussian-ar1", "orthonormal")
 NOISE_KINDS = ("gaussian", "rademacher-scaled", "uniform-bounded")
 LAMBDA_POLICIES = ("theory", "explicit")
+_INVALID = "invalid config: "  # how a schema message starts
 
 RESULT_COLUMNS = (
     "seed", "rule", "n", "p", "J_star", "sigma", "lambda", "rho", "iters",
@@ -46,9 +47,10 @@ _STREAM_NOISE = 2
 class ExperimentSpec:
     """Experiment description; field names match the JSON config keys.
 
-    Decay experiments need n, p, J_star.  Rate experiments need p_grid and
-    J_star_grid; each cell runs as this spec with its p, J_star and
-    n = ceil(n_factor * J_star * log p).
+    A spec is checked when made: SpecError("invalid config: ...") names
+    every field outside the schema.  Decay experiments also need n, p,
+    J_star.  Rate experiments need p_grid and J_star_grid; each cell runs
+    as this spec with its p, J_star and n = ceil(n_factor * J_star * log p).
     signal_magnitude defaults to 5x the theory threshold and must be given
     explicitly when that default degenerates (sigma = 0).
     """
@@ -75,12 +77,13 @@ class ExperimentSpec:
     n_factor: float = 20.0
 
     def __post_init__(self):
-        object.__setattr__(self, "seeds", tuple(self.seeds))
-        object.__setattr__(self, "rules", tuple(self.rules))
-        if self.p_grid is not None:
-            object.__setattr__(self, "p_grid", tuple(self.p_grid))
-        if self.J_star_grid is not None:
-            object.__setattr__(self, "J_star_grid", tuple(self.J_star_grid))
+        # a list becomes a tuple; any other value is left for the schema to name
+        for name in ("seeds", "rules", "p_grid", "J_star_grid"):
+            if isinstance(getattr(self, name), list):
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+        problems = _base_problems(self)
+        if problems:
+            raise SpecError(_INVALID + "; ".join(problems))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentSpec":
@@ -90,15 +93,12 @@ class ExperimentSpec:
             raise SpecError("config must be a JSON object")
         known = {f.name for f in fields(cls)}
         problems = [f"unknown field {k!r}" for k in sorted(set(doc) - known)]
-        spec = None
         try:
             spec = cls(**{k: v for k, v in doc.items() if k in known})
-        except (TypeError, ValueError) as exc:
-            problems.append(str(exc))
-        if spec is not None:
-            problems.extend(_base_problems(spec))
+        except SpecError as exc:
+            problems.append(str(exc).removeprefix(_INVALID))
         if problems:
-            raise SpecError("invalid config: " + "; ".join(problems))
+            raise SpecError(_INVALID + "; ".join(problems))
         return spec
 
 
@@ -112,6 +112,11 @@ def _is_number(v) -> bool:
 
 def _is_integer(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_counts(v, low: int) -> bool:
+    """v is a nonempty tuple of integers >= low (a list field as the spec holds it)."""
+    return isinstance(v, tuple) and bool(v) and all(_is_integer(x) and x >= low for x in v)
 
 
 def _base_problems(spec: ExperimentSpec) -> list:
@@ -128,11 +133,12 @@ def _base_problems(spec: ExperimentSpec) -> list:
         out.append("signal_magnitude must be a finite number > 0")
     if spec.noise_kind not in NOISE_KINDS:
         out.append(f"noise_kind must be one of {NOISE_KINDS}, got {spec.noise_kind!r}")
-    if not spec.seeds or any(not (_is_integer(s) and s >= 0) for s in spec.seeds):
+    if not _is_counts(spec.seeds, 0):
         out.append("seeds must be a nonempty list of integers >= 0")
     elif len(set(spec.seeds)) != len(spec.seeds):
         out.append("seeds must be distinct")
-    if not spec.rules or any(not isinstance(r, str) for r in spec.rules):
+    if not (isinstance(spec.rules, tuple) and spec.rules
+            and all(isinstance(r, str) for r in spec.rules)):
         out.append("rules must be a nonempty list of rule strings")
     else:
         for r in spec.rules:
@@ -163,53 +169,45 @@ def _base_problems(spec: ExperimentSpec) -> list:
     return out
 
 
-# Largest sigma, lambda and signal magnitude a run takes.  It multiplies at
-# most four of them (sigma^2 lam^2 J* in the plateau ratio) and sums squared
+# Largest sigma, lambda (a rule's own too), signal magnitude and rho_epsilon
+# a run takes.  It multiplies at most four of them (sigma^2 lam^2 J* in the
+# plateau ratio, rho^2 |beta*|^2 in the weighted error) and sums squared
 # errors over at most n*p terms, so below 2^200 each stays far inside the
 # float range (2^1024); above, a run overflows mid-way.
 _SCALE_LIMIT = 2.0**200
 
 
-def _scale_problems(spec: ExperimentSpec, p: int) -> list:
-    """The spec's scales past _SCALE_LIMIT, lambda resolved at p (the theory
-    lambda grows with p)."""
-    scales = [("sigma", spec.sigma),
-              ("lambda_value" if spec.lambda_policy == "explicit" else "theory lambda",
-               resolve_lambda(spec, p)),
-              ("signal_magnitude", spec.signal_magnitude or 0.0)]
-    return [f"{name} must be at most 2**200, got {v:g}" for name, v in scales if v > _SCALE_LIMIT]
-
-
-def _require_decay_fields(spec: ExperimentSpec) -> None:
-    problems = []
-    for name in ("n", "p", "J_star"):
-        v = getattr(spec, name)
-        if not (_is_integer(v) and v >= 1):
-            problems.append(f"{name} must be an integer >= 1")
-    if not problems and spec.J_star > min(spec.n, spec.p):
-        problems.append("J_star must be <= min(n, p)")
+def _require(spec: ExperimentSpec, kind: str) -> None:
+    """SpecError("invalid <kind> config: ...") unless the spec has the fields a
+    "decay" (and `tisp simulate`) or "rate" run reads, and its scales stay
+    within _SCALE_LIMIT at the largest p (the theory lambda grows with p)."""
+    if kind == "decay":
+        problems = [f"{name} must be an integer >= 1" for name in ("n", "p", "J_star")
+                    if not (_is_integer(getattr(spec, name)) and getattr(spec, name) >= 1)]
+        if not problems and spec.J_star > min(spec.n, spec.p):
+            problems.append("J_star must be <= min(n, p)")
+    else:
+        problems = [f"{name} must be a nonempty list of integers >= 1"
+                    for name in ("p_grid", "J_star_grid") if not _is_counts(getattr(spec, name), 1)]
+        if not (_is_number(spec.n_factor) and spec.n_factor > 0):
+            problems.append("n_factor must be > 0")
+        if spec.sigma <= 0:
+            problems.append("rate experiment needs sigma > 0")
+        if not problems and len(spec.p_grid) * len(spec.J_star_grid) < 4:
+            problems.append("need at least 4 grid cells (p_grid x J_star_grid)")
     if not problems:
-        problems = _scale_problems(spec, spec.p)
+        p = spec.p if kind == "decay" else max(spec.p_grid)
+        scales = [("sigma", spec.sigma),
+                  ("lambda_value" if spec.lambda_policy == "explicit" else "theory lambda",
+                   resolve_lambda(spec, p)),
+                  ("signal_magnitude", spec.signal_magnitude or 0.0),
+                  ("rho_epsilon", spec.rho_epsilon)]
+        scales += [(f"rule {r!r} lambda", th.parse_rule(r, require_lambda=False).lam or 0.0)
+                   for r in spec.rules]
+        problems = [f"{name} must be at most 2**200, got {v:g}"
+                    for name, v in scales if v > _SCALE_LIMIT]
     if problems:
-        raise SpecError("invalid decay config: " + "; ".join(problems))
-
-
-def _require_rate_fields(spec: ExperimentSpec) -> None:
-    problems = []
-    for name in ("p_grid", "J_star_grid"):
-        v = getattr(spec, name)
-        if not v or any(not (_is_integer(x) and x >= 1) for x in v):
-            problems.append(f"{name} must be a nonempty list of integers >= 1")
-    if not (_is_number(spec.n_factor) and spec.n_factor > 0):
-        problems.append("n_factor must be > 0")
-    if spec.sigma <= 0:
-        problems.append("rate experiment needs sigma > 0")
-    if not problems and len(spec.p_grid) * len(spec.J_star_grid) < 4:
-        problems.append("need at least 4 grid cells (p_grid x J_star_grid)")
-    if not problems:
-        problems = _scale_problems(spec, max(spec.p_grid))
-    if problems:
-        raise SpecError("invalid rate config: " + "; ".join(problems))
+        raise SpecError(f"invalid {kind} config: " + "; ".join(problems))
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +240,10 @@ def gen_design(spec: ExperimentSpec, seed: int) -> np.ndarray:
         for j in range(1, p):
             X[:, j] = rc * X[:, j - 1] + innov * Z[:, j]
         return np.divide(X, math.sqrt(n), out=X)
-    if spec.ensemble == "orthonormal":
-        if n < p:
-            raise SpecError("orthonormal ensemble requires n >= p")
-        Q, _ = np.linalg.qr(rng.standard_normal((n, p)))
-        return Q
-    raise SpecError(f"unknown ensemble {spec.ensemble!r}")
+    if n < p:  # orthonormal, the one ensemble left
+        raise SpecError("orthonormal ensemble requires n >= p")
+    Q, _ = np.linalg.qr(rng.standard_normal((n, p)))
+    return Q
 
 
 def resolve_lambda(spec: ExperimentSpec, p: int) -> float:
@@ -429,9 +425,9 @@ def fit_step_bound(results) -> dict | None:
     """
     e0s, e1s, denoms = [], [], []
     for r in results:
-        if r.lam is None or r.lam <= 0:
+        d = (r.lam or 0.0)**2 * r.row["J_star"]
+        if not d > 0:  # no threshold, or lam^2 underflows
             continue
-        d = r.lam**2 * r.row["J_star"]
         seq = r.e_seq
         e0s.extend(seq[:-1])
         e1s.extend(seq[1:])
@@ -455,7 +451,7 @@ def fit_step_bound(results) -> dict | None:
 
 def run_decay_experiment(spec: ExperimentSpec, jobs: int = 1):
     """Returns (list of DecayResult sorted by (seed, rule), summary dict)."""
-    _require_decay_fields(spec)
+    _require(spec, "decay")
     tasks = [(spec, seed) for seed in spec.seeds]
     results = [r for batch in _map_tasks(_decay_task, tasks, jobs) for r in batch]
     results.sort(key=lambda r: (r.seed, r.rule))
@@ -521,7 +517,7 @@ def run_rate_experiment(spec: ExperimentSpec, jobs: int = 1):
     The summary regression fits log(median pred_err) against
     log(sigma^2 * J* * log(e p)) across the grid cells.
     """
-    _require_rate_fields(spec)
+    _require(spec, "rate")
     cells = rate_grid(spec)
     cell_specs = [replace(spec, n=n, p=p, J_star=j) for (n, p, j) in cells]
     tasks = [(cell, seed) for cell in cell_specs for seed in spec.seeds]

@@ -792,7 +792,7 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
     `start` is an initial coefficient vector in the original (unscaled)
     coordinate system; default is zero.  Returns the unscaled estimate,
     the iterate trace, and the termination reason ("converged" or
-    "max_iter").  Raises SolverError if iterates become non-finite.
+    "max_iter").  Raises SolverError if iterates or the estimate become non-finite.
 
     The trace's objective is the one the iteration descends at rho >=
     ||X||_2: 0.5 ||y - Xs beta~||^2 + sum_j P_alpha(|beta~_j|) / alpha,
@@ -904,8 +904,12 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
         # fixed-point residual at the final iterate, at the final threshold
         z, theta_v = _step(beta, r, nz, memo, alpha, rule_a, override, it)
         theta_res = _sup_change(theta_v, beta, z, it)
+        estimate = unscale(beta)
+    if not np.isfinite(estimate).all():  # a finite iterate over a tiny rho
+        raise SolverError(f"non-finite estimate: the iterate over rho={rho:.6g} passes the float range; "
+                          "check the scaling of X and y")
     return SolveResult(
-        beta=unscale(beta),
+        beta=estimate,
         trace=trace,
         reason=reason,
         iterations=it,

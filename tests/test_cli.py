@@ -499,10 +499,16 @@ BAD_VALUES = [
     ({"ensemble": "gaussian-ar1", "rho_corr": "0.5"}, "rho_corr"),
     ({"schedule": 5}, "schedule"),
     ({"rules": [5]}, "rules"),
+    # a list field that holds no list is named, not iterated
+    ({"seeds": 5}, "seeds must be a nonempty list of integers >= 0"),
+    ({"seeds": "0"}, "seeds must be a nonempty list of integers >= 0"),
+    ({"rules": "soft"}, "rules must be a nonempty list of rule strings"),
     # finite, but past what the run's arithmetic holds
     ({"sigma": 1e300}, "sigma"),
     ({"lambda_policy": "explicit", "lambda_value": 1e300}, "lambda_value"),
     ({"signal_magnitude": 1e300}, "signal_magnitude"),
+    ({"rho_epsilon": 1e300}, "rho_epsilon"),
+    ({"rules": ["soft(lambda=1e300)"]}, "lambda must be at most"),
 ]
 
 
@@ -572,6 +578,37 @@ def test_rate_refuses_a_sigma_past_its_arithmetic(capsys, tmp_path):
     assert err.startswith("error: invalid rate config: sigma") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("change, field", [({"p_grid": 40}, "p_grid"), ({"J_star_grid": "2"}, "J_star_grid")])
+def test_rate_refuses_a_grid_that_holds_no_list(capsys, tmp_path, change, field):
+    doc = {**RATE_CONFIG, **change}
+    message = f"invalid rate config: {field} must be a nonempty list of integers >= 1"
+    with pytest.raises(tisp.simulate.SpecError) as exc:  # before any solve
+        tisp.simulate.run_rate_experiment(tisp.simulate.ExperimentSpec.from_dict(doc))
+    assert str(exc.value) == message
+    code, out, err = run(capsys, ["rate", "--config", str(write_config(tmp_path, doc)),
+                                  "--out", str(tmp_path / "rate")])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+BIG_CONFIG = {"ensemble": "gaussian-iid", "n": 1000000, "p": 1000000, "J_star": 2}
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array with shape "
+                                     "(1000000, 1000000) and data type float64", ""])
+def test_an_allocation_that_fails_exits_1_with_one_line(capsys, tmp_path, monkeypatch, message):
+    # the design is never drawn: gen_design raises as numpy would
+    def refuse(spec, seed):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(tisp.simulate, "gen_design", refuse)
+    cfg = str(write_config(tmp_path, BIG_CONFIG))
+    for argv in (["simulate", "--config", cfg, "--out", str(tmp_path / "inst")],
+                 ["decay", "--config", cfg, "--out", str(tmp_path / "decay")]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == (f"error: out of memory: {message}\n" if message else "error: out of memory\n")
+
+
 def test_rate_experiment_cli(capsys, tmp_path):
     cfg = write_config(tmp_path, RATE_CONFIG)
     out_dir = tmp_path / "rate"
@@ -625,6 +662,13 @@ def test_verify_all_prints_each_check_in_table_order_and_fails_on_any(capsys, mo
     code, out, _ = run(capsys, ["verify", "--suite", "second"])
     assert code == 1
     assert out.splitlines() == ["FAIL c@0: detail"]
+
+
+def test_verify_all_runs_every_suite_and_each_check_passes(capsys):
+    code, out, err = run(capsys, ["verify", "--suite", "all", "--seed", "0"])
+    lines = out.splitlines()
+    assert (code, err, len(lines)) == (0, "", 47)
+    assert all(line.startswith("PASS ") for line in lines)
 
 
 def test_verify_unknown_suite(capsys):

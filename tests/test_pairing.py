@@ -1,6 +1,7 @@
 """tools/pairing.py: the rotation of the three sides and the reading against the null."""
 
 import os
+import statistics
 from collections import Counter
 from pathlib import Path
 
@@ -27,14 +28,29 @@ NULL = [0.98, 1.01, 1.00, 0.99, 1.02]
 
 
 def test_a_change_reads_as_moved_only_beyond_the_null_range():
+    # the range is the null's interquartile range, [0.99, 1.01] here
     assert reading([1.03, 1.04, 1.05], NULL) == "moved slower"
     assert reading([0.96, 0.97, 0.90], NULL) == "moved faster"
-    # every ratio above 1, yet inside the null's range
-    assert reading([1.01, 1.02, 1.015], NULL) == "not moved"
-    # the range's ends belong to it
-    assert reading([1.02], NULL) == reading([0.98], NULL) == "not moved"
+    # every ratio above 1, yet inside the null's quartiles
+    assert reading([1.005, 1.01, 1.008], NULL) == "not moved"
+    # the quartiles belong to it
+    assert reading([1.01], NULL) == reading([0.99], NULL) == "not moved"
+    # between a quartile and the null's extreme is beyond it
+    assert reading([1.015], NULL) == "moved slower"
+    assert reading([0.985], NULL) == "moved faster"
     # the median decides, not the extremes
     assert reading([0.5, 1.0, 1.5], NULL) == "not moved"
+
+
+def test_one_outlier_round_does_not_hide_a_ten_percent_move():
+    # the base ran 1.5x slow in round 4, so the null's ratio there is 1/1.5
+    # and the null's full range would hold the change's median
+    base = [1.0, 1.01, 0.99, 1.0, 1.5, 1.02, 0.98, 1.0, 1.01, 0.99]
+    null = [1.0, 1.0, 1.0, 1.01, 1.0, 0.99, 1.0, 1.02, 1.0, 0.98]  # the base's code again
+    rn, rc = ratios(base, null), ratios(base, [0.9 * t for t in null])
+    assert min(rn) < statistics.median(rc) < max(rn)
+    assert reading(rc, rn) == "moved faster"
+    assert reading(ratios(base, null[::-1]), rn) == "not moved"
 
 
 def test_for_a_higher_is_better_metric_a_rise_reads_faster():

@@ -59,6 +59,15 @@ def test_frozen_penalty_values(text, t, expected):
     assert penalty_theta(spec, -t) == pytest.approx(expected, abs=1e-12)
 
 
+def test_lr_penalty_at_a_zeta_whose_jump_squared_overflows():
+    # jump = (2 zeta (1 - r))^(1/(2 - r)) = 1e200 here: its square is past
+    # the float range, which a float ** raises on; below the jump P is the
+    # quadratic head, finite
+    spec = PenaltySpec(rule=rule("lr(r=0.5,zeta=1e300)"))
+    assert penalty_theta(spec, 0.0) == 0.0
+    assert penalty_theta(spec, np.array([0.0, 1.0]))[0] == 0.0
+
+
 def test_penalty_basic_shape_properties():
     grid = np.linspace(0.0, 12.0, 241)
     for r in CATALOG:

@@ -1,6 +1,7 @@
 """Experiment layer: configs, data generation, decay and rate pipelines."""
 
 import concurrent.futures
+import dataclasses
 import io
 import json
 import math
@@ -72,6 +73,43 @@ def test_from_dict_refuses_a_non_finite_lambda_value():
                          ' "signal_magnitude": 3.0}' % text)
         with pytest.raises(SpecError, match="needs a finite lambda_value >= 0"):
             ExperimentSpec.from_dict(doc)
+
+
+def test_a_spec_is_checked_when_made():
+    # a spec built in Python meets the schema from_dict reads, in its words
+    for bad, message in [({"seeds": (0, 0)}, "seeds must be distinct"),
+                         ({"rules": ("sofr",)}, "rule 'sofr': unknown rule kind 'sofr'"),
+                         ({"seeds": 5}, "seeds must be a nonempty list of integers >= 0"),
+                         ({"rules": "soft"}, "rules must be a nonempty list of rule strings"),
+                         ({"sigma": -1.0, "tol": 0}, "sigma must be a finite number >= 0; tol must be > 0")]:
+        with pytest.raises(SpecError) as exc:
+            ExperimentSpec(ensemble="gaussian-iid", **bad)
+        assert str(exc.value).startswith("invalid config: " + message)
+    spec = ExperimentSpec(seeds=[2, 1], rules=["hard"], p_grid=[40], J_star_grid=[2])
+    assert (spec.seeds, spec.rules, spec.p_grid, spec.J_star_grid) == ((2, 1), ("hard",), (40,), (2,))
+    with pytest.raises(SpecError, match="seeds must be distinct"):
+        dataclasses.replace(spec, seeds=(1, 1))
+
+
+def test_from_dict_names_unknown_keys_and_schema_problems_in_one_message():
+    with pytest.raises(SpecError) as exc:
+        ExperimentSpec.from_dict({"ensemble": "gaussian-iid", "zeta": 1, "seeds": [1, 1], "tol": -1})
+    assert str(exc.value) == "invalid config: unknown field 'zeta'; seeds must be distinct; tol must be > 0"
+
+
+def test_each_experiment_kind_checks_its_own_fields_and_scales():
+    require = tisp.simulate._require
+    decay = ExperimentSpec(n=20, p=10, J_star=2)
+    require(decay, "decay")
+    with pytest.raises(SpecError, match="^invalid rate config: p_grid must be"):
+        require(decay, "rate")
+    for change, message in [({"J_star": 11}, "J_star must be <= min(n, p)"),
+                            ({"rho_epsilon": 1e300}, "rho_epsilon must be at most 2**200, got 1e+300"),
+                            ({"rules": ("hard", "soft(lambda=1e300)")},
+                             "rule 'soft(lambda=1e300)' lambda must be at most 2**200, got 1e+300")]:
+        with pytest.raises(SpecError) as exc:
+            require(dataclasses.replace(decay, **change), "decay")
+        assert str(exc.value) == "invalid decay config: " + message
 
 
 def test_resolve_lambda():
@@ -381,6 +419,8 @@ def test_fit_step_bound_synthetic():
     assert out["K_prime"] == 0.0
     assert out["num_steps"] == 3
     assert fit_step_bound([Run([8.0, 4.0], None, 1)]) is None
+    # lam^2 underflows to 0: no positive normalizer, not a 0/0
+    assert fit_step_bound([Run([8.0, 4.0], 1e-300, 1)]) is None
 
 
 # ---------------------------------------------------------------------------

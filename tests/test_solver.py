@@ -771,6 +771,18 @@ def test_solver_error_on_overflowing_scaled_start():
     assert str(exc.value) == message
 
 
+def test_solver_error_on_an_estimate_past_the_float_range():
+    # the scaled iterate is finite, but over rho = 1.01e-200 it passes the
+    # float range: SolverError alone, without a numpy RuntimeWarning
+    prob = Problem(np.array([[1e-200]]), np.array([1e200]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SolverError) as exc:
+            solve(prob, SolverConfig(rule=rule("soft(lambda=0)")))
+    assert str(exc.value) == ("non-finite estimate: the iterate over rho=1.01e-200 passes the "
+                              "float range; check the scaling of X and y")
+
+
 def test_trace_csv_columns_and_error_fields():
     bstar = np.array([2.0, 0.0, -1.0])
     rng = np.random.default_rng(11)

@@ -10,9 +10,10 @@ workload.  Per end-to-end metric
 (direction and bound from CHANGE_DIR's BENCHMARK.json) it prints each
 side's median and [q1, q3], the median per-triple ratio of the change and
 of the null, the null's range, the triples the change won, the reading
-against the null and `verdict`'s bound rule; then each side's failed
-operations and correct runs.  `--out FILE` writes the raw per-run results
-as JSON.  The exit status is 1 when a run fails or reports incorrect outputs.
+against the null's quartiles (`pairing.reading`) and `verdict`'s bound
+rule; then each side's failed operations and correct runs.  `--out FILE`
+writes the raw per-run results as JSON.  The exit status is 1 when a run
+fails or reports incorrect outputs.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ start and from its first two `gaussian_starts(..., 20, seed=i)`.  In each
 of 21 rounds each child runs one burst per kind, in `pairing.order`.  Per
 kind it prints the base's and the change's median and minimum
 us/iteration and their ratios, the median per-round ratio of the change
-and of the null, the null's range and the reading against it.  The exit
-status is 1 when the children's iteration counts differ for some kind.
+and of the null, the null's range and the reading against the null's
+quartiles (`pairing.reading`).  The exit status is 1 when the children's
+iteration counts differ for some kind.
 """
 
 from __future__ import annotations

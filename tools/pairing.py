@@ -41,12 +41,13 @@ def ratios(base: list, side: list) -> list:
 
 def reading(change: list, null: list, better: str = "lower") -> str:
     """"moved slower" ("faster") when the median of the change's per-round
-    ratios lies beyond the null's, on the side worse (better) in the
-    metric's direction; else "not moved"."""
-    med = statistics.median(change)
-    if min(null) <= med <= max(null):
+    ratios lies beyond the null's quartiles, on the side worse (better) in
+    the metric's direction; else "not moved".  Quartiles, not the null's
+    full range: one outlier round would widen the range past a real move."""
+    med, (_, q1, q3) = statistics.median(change), quartiles(null)
+    if q1 <= med <= q3:
         return "not moved"
-    return "moved slower" if (med > max(null)) == (better == "lower") else "moved faster"
+    return "moved slower" if (med > q3) == (better == "lower") else "moved faster"
 
 
 def verdict(base: list, change: list, better: str, bound: float) -> str:
