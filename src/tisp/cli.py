@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
+import io
 import json
 import locale
 import os
@@ -88,43 +88,24 @@ def _loadtxt(path: str) -> np.ndarray | None:
     # None where np.loadtxt raises, warns, reads no value, or could read a
     # file that `_read_csv` refuses (a separator byte); on every other file
     # both give the same array.  The file is parsed in `_workers(size)`
-    # line-aligned byte ranges at once: this process parses the first, a
-    # forked child each other one and sends back its rows.
+    # line-aligned byte ranges at once (`_in_ranges`): this process parses
+    # the first, a forked child each other one and sends back its rows.
     # Each line is one record (no comments, no quotes), so the ranges' rows
     # stacked are the whole file's rows.
-    children = []  # (pid, read end of its pipe) until reaped
     try:
         with open(path, "rb") as f:
-            for chunk in iter(lambda: f.read(1 << 20), b""):
-                if any(sep in chunk for sep in _LOADTXT_ONLY_SPACE):
-                    return None
-            bounds = _range_bounds(f, f.tell())
-            for start, stop in zip(bounds[1:-1], bounds[2:]):
-                _fork(children, functools.partial(_send_range, path, start, stop))
-            first = _parse_range(f, 0, bounds[1])
-        shapes = [first.shape]
-        for _, fd in children:
-            head = np.empty(2, dtype=np.int64)
-            if not _read_into(fd, head):
-                return None
-            shapes.append(tuple(head))
-        cols = {c for r, c in shapes if r}  # a range of blank lines has no rows
-        if len(cols) != 1:  # no value, or ragged across ranges
+            bounds = _range_bounds(f, f.seek(0, os.SEEK_END))
+        first, *sent = _in_ranges(list(zip(bounds, bounds[1:])),
+                                  lambda r: _parse_range(path, *r),
+                                  lambda r: _packed(_parse_range(path, *r)))
+        if None in sent:  # a range refused, or a child lost
             return None
-        if not children:
-            return first
-        m = np.empty((sum(r for r, _ in shapes), cols.pop()))
-        at = len(first)
-        m[:at] = first
-        for (_, fd), (r, _) in zip(children, shapes[1:]):
-            if not _read_into(fd, m[at:at + r]):
-                return None
-            at += r
-        return m if all(_join(children, c) for c in children[:]) else None
+        parts = [m for m in [first, *map(_unpacked, sent)] if len(m)]  # blank lines: no rows
+        if len({m.shape[1] for m in parts}) != 1:  # no value, or ragged across ranges
+            return None
+        return np.concatenate(parts) if sent else first
     except (OSError, ValueError, Warning):
         return None
-    finally:
-        _reap(children)
 
 
 def _workers(size: int) -> int:
@@ -132,8 +113,7 @@ def _workers(size: int) -> int:
     most one per _RANGE_BYTES; one on a platform without fork."""
     if not hasattr(os, "fork"):
         return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cpus or 1, size // _RANGE_BYTES))
+    return max(1, min(sim.usable_cpus(), size // _RANGE_BYTES))
 
 
 def _range_bounds(f, size: int) -> list:
@@ -150,94 +130,92 @@ def _range_bounds(f, size: int) -> list:
     return bounds + [size]
 
 
-def _parse_range(f, start: int, stop: int) -> np.ndarray:
-    # the np.loadtxt call of every range: its lines from f, decoded as a
-    # text-mode open would; a range of blank lines gives no rows, not a warning
-    def lines():
+def _parse_range(path: str, start: int, stop: int) -> np.ndarray:
+    # the np.loadtxt call of every range: bytes [start, stop) of path on a
+    # handle of its own, decoded as a text-mode open would; a range of blank
+    # lines gives no rows, not a warning, and a line that holds a separator
+    # byte raises ValueError
+    def lines(f):
+        # blocks of about 64 KB, each run on to the end of its last line (stop
+        # is a line end) and checked for separator bytes at once
         f.seek(start)
-        at = start
-        for line in f:
-            yield line
-            at += len(line)
-            if at >= stop:
-                return
+        while block := f.read(min(1 << 16, stop - f.tell())):
+            if not block.endswith(b"\n"):
+                block += f.readline()
+            if any(sep in block for sep in _LOADTXT_ONLY_SPACE):
+                raise ValueError("a separator byte")
+            yield from io.BytesIO(block)
 
-    with warnings.catch_warnings():
+    with open(path, "rb") as f, warnings.catch_warnings():
         warnings.simplefilter("error")
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(lines(), delimiter=",", comments=None, ndmin=2, dtype=float,
+        return np.loadtxt(lines(f), delimiter=",", comments=None, ndmin=2, dtype=float,
                           encoding=locale.getpreferredencoding(False))
 
 
-def _send_range(path: str, start: int, stop: int, out) -> None:
-    # a reading child's work: bytes [start, stop) of path parsed on its own
-    # handle, sent as their shape (two int64) and float64 rows
-    with open(path, "rb") as f:
-        m = _parse_range(f, start, stop)
-    out.write(np.array(m.shape, dtype=np.int64).tobytes())
-    out.write(np.ascontiguousarray(m).data)
+def _packed(m: np.ndarray) -> bytes:
+    # a reading child's rows as it sends them: their shape (two int64), then float64 rows
+    return b"".join((np.array(m.shape, dtype=np.int64).tobytes(), np.ascontiguousarray(m).data))
 
 
-def _fork(children: list, work) -> tuple:
-    """(pid, read end of its pipe) of a forked child, appended to children.
-    The child closes every read end it inherits, calls work(out) with the
-    pipe's write end as a binary file and leaves by os._exit, with status 0
-    once work has returned and out is flushed: no atexit handler or buffer
-    flush of this process runs twice.  OSError where the pipe or the fork
-    cannot be made."""
-    r, w = os.pipe()
+def _unpacked(sent: bytes) -> np.ndarray:
+    # `_packed`'s rows back; ValueError where sent does not hold the rows its shape names
+    return np.frombuffer(sent, offset=16).reshape(np.frombuffer(sent, np.int64, 2))
+
+
+def _in_ranges(ranges: list, here, there) -> list:
+    """[here(ranges[0])], then for each later range the bytes there(range)
+    that a forked child sent, or None where the pipe or the fork could not
+    be made or the child did not exit with status 0.  The children run
+    while this process runs here.  Each closes the read ends it inherits,
+    writes there(range) to its pipe and leaves by os._exit: no atexit
+    handler or buffer flush of this process runs twice.  Every child is
+    reaped on every path; one still working when this process stops
+    reading finds its pipe closed when it writes, and exits."""
+    children = {}  # index of a later range -> (pid, read end of its pipe), until reaped
     try:
-        with warnings.catch_warnings():
-            # Python >= 3.12 warns that fork() in a process with threads (a
-            # BLAS pool) may deadlock the child.  These children cannot: each
-            # works on its own range, calls no BLAS and leaves by os._exit.
-            warnings.filterwarnings("ignore", r"This process .* use of fork\(\)",
-                                    DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            for fd in [r] + [fd for _, fd in children]:
-                os.close(fd)
-            with open(w, "wb") as out:
-                work(out)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    children.append((pid, r))
-    return pid, r
-
-
-def _join(children: list, child: tuple) -> bool:
-    """Close child's read end, reap it and drop it from children: True when
-    it exited with status 0."""
-    children.remove(child)
-    pid, fd = child
-    os.close(fd)
-    return os.waitpid(pid, 0)[1] == 0
-
-
-def _reap(children: list) -> None:
-    # every child still listed, on every path: one still working finds its
-    # pipe closed when it writes, and exits
-    while children:
-        _join(children, children[-1])
-
-
-def _read_into(fd: int, arr: np.ndarray) -> bool:
-    """Fill the C-contiguous arr from the pipe fd; False on a short read."""
-    view = memoryview(arr.reshape(-1).view(np.uint8))
-    while view:
-        n = os.readv(fd, [view])
-        if n == 0:
-            return False
-        view = view[n:]
-    return True
+        for k, rng in enumerate(ranges[1:], start=1):
+            try:
+                r, w = os.pipe()
+            except OSError:
+                continue
+            try:
+                with warnings.catch_warnings():
+                    # Python >= 3.12 warns that fork() in a process with threads (a
+                    # BLAS pool) may deadlock the child.  These children cannot: each
+                    # works on its own range, calls no BLAS and leaves by os._exit.
+                    warnings.filterwarnings("ignore", r"This process .* use of fork\(\)",
+                                            DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                continue
+            if pid == 0:
+                status = 1
+                try:
+                    for fd in [r] + [fd for _, fd in children.values()]:
+                        os.close(fd)
+                    with open(w, "wb") as out:
+                        out.write(there(rng))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children[k] = (pid, r)
+        out = [here(ranges[0])] + [None] * (len(ranges) - 1)
+        for k, (pid, r) in list(children.items()):
+            with open(r, "rb", closefd=False) as pipe:
+                sent = pipe.read()
+            del children[k]
+            os.close(r)
+            if os.waitpid(pid, 0)[1] == 0:
+                out[k] = sent
+        return out
+    finally:
+        for pid, r in children.values():
+            os.close(r)
+            os.waitpid(pid, 0)
 
 
 def read_vector(path: str) -> np.ndarray:
@@ -258,42 +236,24 @@ def _lines(mat):
     return (",".join(map(repr, row)) + "\n" for row in mat.tolist())
 
 
-def _send_lines(mat, out) -> None:
-    # a writing child's work: its rows formatted whole, then sent; a child
-    # that streamed would wait on the 64 KB pipe until this process had
-    # formatted its own range
-    out.write("".join(_lines(mat)).encode())
-
-
 def _write_matrix(mat, f) -> None:
-    # `_workers(mat.nbytes)` contiguous row ranges, at most one per row:
-    # this process formats the first, a forked child each other one.  A
-    # child's text is written once it has been read to EOF and the child
-    # has exited with status 0; where the fork failed or the child did not,
-    # this process formats the range.  Either way f gets the text of one
-    # range, in row order.
+    # `_workers(mat.nbytes)` contiguous row ranges, at most one per row
+    # (`_in_ranges`): this process streams the first to f, a forked child
+    # formats each other one whole and sends its text, which f gets once the
+    # child has exited with status 0; where the fork failed or the child did
+    # not, this process formats the range.  Either way f gets the text of
+    # one range, in row order.
     mat = np.asarray(mat, dtype=float)
     w = max(1, min(_workers(mat.nbytes), len(mat)))
     cuts = [k * len(mat) // w for k in range(w + 1)]
-    children, later = [], []  # later: (rows, its child or None) per range after the first
-    try:
-        for start, stop in zip(cuts[1:-1], cuts[2:]):
-            try:
-                child = _fork(children, functools.partial(_send_lines, mat[start:stop]))
-            except OSError:
-                child = None
-            later.append((mat[start:stop], child))
-        f.writelines(_lines(mat[:cuts[1]]))
-        for rows, child in later:
-            if child is not None:
-                with open(child[1], "rb", closefd=False) as pipe:
-                    sent = pipe.read()
-                if _join(children, child):
-                    f.write(sent.decode("ascii"))
-                    continue
+    ranges = [mat[start:stop] for start, stop in zip(cuts, cuts[1:])]
+    _, *sent = _in_ranges(ranges, lambda rows: f.writelines(_lines(rows)),
+                          lambda rows: "".join(_lines(rows)).encode())
+    for rows, text in zip(ranges[1:], sent):
+        if text is None:
             f.writelines(_lines(rows))
-    finally:
-        _reap(children)
+        else:
+            f.write(text.decode("ascii"))
 
 
 # ---------------------------------------------------------------------------

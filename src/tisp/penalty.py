@@ -112,12 +112,20 @@ def _penalty_z(spec: PenaltySpec, z: np.ndarray, lam: float | None) -> np.ndarra
             return np.zeros_like(z)
         t0 = _lr_zero_boundary(zeta, r)
         jump = _lr_jump(zeta, r)
-        low = t0 * z - 0.5 * z**2
-        head = t0 * jump - 0.5 * (jump * jump)  # a float ** raises where * gives inf
+
+        def quadratic(u):
+            # t0 u - u^2/2, positive for u <= jump < t0; at a zeta near the
+            # float range both terms overflow to inf - inf, and u (t0 - u/2)
+            # gives the value or +inf.  (u * u: a float ** raises where * gives inf)
+            q = t0 * u - 0.5 * (u * u)
+            return np.where(np.isfinite(q), q, u * (t0 - 0.5 * u))
+
         zsafe = np.where(z > 0, z, 1.0)
-        # overflows only at a zeta near the float range; below the jump np.where drops it
+        # overflows only at a zeta near the float range; np.where drops each
+        # branch on the other side of the jump
         with np.errstate(over="ignore", invalid="ignore"):
-            high = head + zeta * (zsafe**r - jump**r)
+            low = quadratic(z)
+            high = quadratic(jump) + zeta * (zsafe**r - jump**r)
         return np.where(z <= jump, low, high)
     # exact integral of the integrand pieces: the piece s(u) = m*u + q on
     # [lo, hi] meets [0, z] in [lo, lo + c], c = clip(z, lo, hi) - lo, where

@@ -179,22 +179,30 @@ _SCALE_LIMIT = 2.0**200
 
 def _require(spec: ExperimentSpec, kind: str) -> None:
     """SpecError("invalid <kind> config: ...") unless the spec has the fields a
-    "decay" (and `tisp simulate`) or "rate" run reads, and its scales stay
+    "decay" (and `tisp simulate`) or "rate" run reads, each field of the
+    other kind that is given holds what that kind takes, and its scales stay
     within _SCALE_LIMIT at the largest p (the theory lambda grows with p)."""
+    def field_problems(names, own, ok, wording):
+        # the names of this kind (own), or of the other kind and given, whose values fail ok
+        return [f"{name} {wording}" for name in names
+                if (own or getattr(spec, name) is not None) and not ok(getattr(spec, name))]
+
+    decay = field_problems(("n", "p", "J_star"), kind == "decay",
+                           lambda v: _is_integer(v) and v >= 1, "must be an integer >= 1")
+    rate = field_problems(("p_grid", "J_star_grid"), kind == "rate",
+                          lambda v: _is_counts(v, 1), "must be a nonempty list of integers >= 1")
+    if not (_is_number(spec.n_factor) and spec.n_factor > 0):  # has a default: always given
+        rate.append("n_factor must be > 0")
     if kind == "decay":
-        problems = [f"{name} must be an integer >= 1" for name in ("n", "p", "J_star")
-                    if not (_is_integer(getattr(spec, name)) and getattr(spec, name) >= 1)]
-        if not problems and spec.J_star > min(spec.n, spec.p):
-            problems.append("J_star must be <= min(n, p)")
+        if not decay and spec.J_star > min(spec.n, spec.p):
+            decay.append("J_star must be <= min(n, p)")
+        problems = decay + rate
     else:
-        problems = [f"{name} must be a nonempty list of integers >= 1"
-                    for name in ("p_grid", "J_star_grid") if not _is_counts(getattr(spec, name), 1)]
-        if not (_is_number(spec.n_factor) and spec.n_factor > 0):
-            problems.append("n_factor must be > 0")
         if spec.sigma <= 0:
-            problems.append("rate experiment needs sigma > 0")
-        if not problems and len(spec.p_grid) * len(spec.J_star_grid) < 4:
-            problems.append("need at least 4 grid cells (p_grid x J_star_grid)")
+            rate.append("rate experiment needs sigma > 0")
+        if not rate and len(spec.p_grid) * len(spec.J_star_grid) < 4:
+            rate.append("need at least 4 grid cells (p_grid x J_star_grid)")
+        problems = rate + decay
     if not problems:
         p = spec.p if kind == "decay" else max(spec.p_grid)
         scales = [("sigma", spec.sigma),
@@ -563,12 +571,21 @@ def run_rate_experiment(spec: ExperimentSpec, jobs: int = 1):
 # execution and serialization
 # ---------------------------------------------------------------------------
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, or os.cpu_count()
+    on a platform without sched_getaffinity."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _worker_count(jobs: int, num_tasks: int) -> int:
     """Worker processes for `num_tasks` tasks: `jobs`, but no more than there
-    are tasks or CPUs (the pool starts all its workers up front)."""
+    are tasks or CPUs this process may use (the pool starts all its workers
+    up front)."""
     if jobs < 1:
         raise SpecError(f"jobs must be >= 1, got {jobs}")
-    return max(1, min(jobs, num_tasks, os.cpu_count() or 1))
+    return max(1, min(jobs, num_tasks, usable_cpus()))
 
 
 def _map_tasks(fn, tasks, jobs: int):

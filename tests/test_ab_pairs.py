@@ -46,7 +46,7 @@ def test_summary_reads_the_change_against_the_null():
     triples = [{"base": run(b), "change": run(1.05 * b), "null": run(f * b)} for b, f in zip(base, null)]
     lines = ab_pairs.summarize(triples, {"wall_s": ("lower", 0.25), "peak_rss_mb": ("lower", 0.1)})
     assert len(lines) == 4  # no line for a metric the runs lack
-    assert "ratio 1.0500 null 1.0000 [0.9900, 1.0200]  change better 0/5" in lines[0]
+    assert "ratio 1.0500 null 1.0000 [1.0000, 1.0100]  change better 0/5" in lines[0]  # quartiles
     assert lines[0].endswith("-> moved slower, within bound")
     assert lines[1:] == [f"{side}: failed 0/50 operations, correct in 5/5 runs"
                          for side in ("base", "change", "null")]

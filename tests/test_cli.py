@@ -255,6 +255,22 @@ def test_read_in_ranges_equals_np_loadtxt_and_reaps_every_child(tmp_path, forced
         tisp.cli.read_matrix(str(path))
 
 
+@pytest.mark.parametrize("mangle", [
+    lambda m, sent: np.array([len(m) + 1, m.shape[1]], dtype=np.int64).tobytes() + sent[16:],
+    lambda m, sent: sent[:-3],  # cut mid-value
+    lambda m, sent: sent[:10],  # cut mid-shape
+], ids=["a_row_short", "cut_mid_value", "cut_mid_shape"])
+def test_a_child_that_sends_the_wrong_bytes_sends_the_file_to_the_csv_reader(tmp_path, forced_ranges,
+                                                                             monkeypatch, mangle):
+    path = tmp_path / "X.csv"
+    path.write_bytes(repr_csv(np.random.default_rng(4).standard_normal((40, 3))))
+    packed = tisp.cli._packed
+    monkeypatch.setattr(tisp.cli, "_packed", lambda m: mangle(m, packed(m)))  # each child's bytes
+    assert tisp.cli._loadtxt(str(path)) is None
+    m = tisp.cli.read_matrix(str(path))
+    assert m.shape == (40, 3) and m.tobytes() == tisp.cli._read_csv(str(path)).tobytes()
+
+
 def test_read_matrix_forks_only_with_a_cpu_and_a_fork_to_spare(tmp_path, monkeypatch):
     path = tmp_path / "X.csv"
     path.write_bytes(repr_csv(np.random.default_rng(2).standard_normal((40, 3))))
@@ -509,6 +525,10 @@ BAD_VALUES = [
     ({"signal_magnitude": 1e300}, "signal_magnitude"),
     ({"rho_epsilon": 1e300}, "rho_epsilon"),
     ({"rules": ["soft(lambda=1e300)"]}, "lambda must be at most"),
+    # a rate field is checked wherever it is given (n_factor has a default)
+    ({"p_grid": "x"}, "p_grid must be a nonempty list of integers >= 1"),
+    ({"J_star_grid": [0]}, "J_star_grid must be a nonempty list of integers >= 1"),
+    ({"n_factor": "2"}, "n_factor must be > 0"),
 ]
 
 
@@ -588,6 +608,27 @@ def test_rate_refuses_a_grid_that_holds_no_list(capsys, tmp_path, change, field)
     code, out, err = run(capsys, ["rate", "--config", str(write_config(tmp_path, doc)),
                                   "--out", str(tmp_path / "rate")])
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("change, problem", [({"p": "q"}, "p must be an integer >= 1"),
+                                             ({"n": True}, "n must be an integer >= 1"),
+                                             ({"J_star": 0}, "J_star must be an integer >= 1")])
+def test_rate_refuses_a_decay_field_of_the_wrong_type(capsys, tmp_path, change, problem):
+    doc = {**RATE_CONFIG, **change}
+    message = f"invalid rate config: {problem}"
+    with pytest.raises(tisp.simulate.SpecError) as exc:  # before any solve
+        tisp.simulate.run_rate_experiment(tisp.simulate.ExperimentSpec.from_dict(doc))
+    assert str(exc.value) == message
+    code, out, err = run(capsys, ["rate", "--config", str(write_config(tmp_path, doc)),
+                                  "--out", str(tmp_path / "rate")])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_simulate_refuses_a_rate_field_of_the_wrong_type(capsys, tmp_path):
+    cfg = write_config(tmp_path, {"n": 20, "p": 10, "J_star": 2, "p_grid": "x", "n_factor": "2"})
+    assert run(capsys, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == (
+        1, "", "error: invalid decay config: p_grid must be a nonempty list of integers >= 1; "
+               "n_factor must be > 0\n")
 
 
 BIG_CONFIG = {"ensemble": "gaussian-iid", "n": 1000000, "p": 1000000, "J_star": 2}

@@ -51,7 +51,7 @@ def test_the_change_reads_against_the_null_range():
     base = [(1000, s) for s in (0.030, 0.020, 0.025)]
     null = [(1000, s) for s in (0.030, 0.021, 0.0225)]  # per-round ratios 1.0, 1.05, 0.9
     s = summarize(base, [(1000, 0.033)] * 3, null)  # per-round ratios 1.1, 1.65, 1.32
-    assert s["null_range"] == pytest.approx((0.9, 1.05))
+    assert s["null_quartiles"] == pytest.approx((0.95, 1.025))
     assert s["reading"] == "moved slower"
     assert summarize(base, base, null)["reading"] == "not moved"
-    assert summarize(base, base)["null_range"] is summarize(base, base)["reading"] is None
+    assert summarize(base, base)["null_quartiles"] is summarize(base, base)["reading"] is None

@@ -68,6 +68,24 @@ def test_lr_penalty_at_a_zeta_whose_jump_squared_overflows():
     assert penalty_theta(spec, np.array([0.0, 1.0]))[0] == 0.0
 
 
+@pytest.mark.parametrize("t", [1e150, 1e160, 1e250])
+def test_lr_penalty_past_the_float_range_is_inf(t):
+    # P = t0 t - t^2/2 below the jump (1e200) and head + zeta (t^r - jump^r)
+    # above it, with t0 = 1.5e200: past 1e308 at each t, where both terms of
+    # the quadratic overflow (inf - inf); pytest turns a RuntimeWarning into
+    # an error
+    spec = PenaltySpec(rule=rule("lr(r=0.5,zeta=1e300)"))
+    assert penalty_theta(spec, t) == np.inf
+    assert penalty_theta(spec, np.array([t, 1e100]))[0] == np.inf
+
+
+def test_solve_records_an_inf_objective_past_the_float_range():
+    config = tisp.solver.SolverConfig(rule=rule("lr(r=0.5,zeta=1e300)"), max_iter=5)
+    result = tisp.solver.solve(Problem(np.eye(3), [1e250, 1.0, 0.0]), config)
+    assert result.trace.objective == [np.inf] * 5
+    assert result.objective == np.inf
+
+
 def test_penalty_basic_shape_properties():
     grid = np.linspace(0.0, 12.0, 241)
     for r in CATALOG:

@@ -328,7 +328,7 @@ def test_experiments_norm_each_design_once(norm_calls):
 
 
 def test_worker_count_is_clamped_to_tasks_and_cpus(monkeypatch):
-    monkeypatch.setattr(tisp.simulate.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(tisp.simulate.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     worker_count = tisp.simulate._worker_count
     assert worker_count(1, 10) == 1
     assert worker_count(3, 10) == 3
@@ -338,6 +338,9 @@ def test_worker_count_is_clamped_to_tasks_and_cpus(monkeypatch):
     for bad in (0, -3):
         with pytest.raises(SpecError, match="jobs must be >= 1"):
             worker_count(bad, 10)
+    monkeypatch.setattr(tisp.simulate.os, "sched_getaffinity", lambda pid: {0})  # one usable CPU
+    assert worker_count(2, 40) == 1
+    monkeypatch.delattr(tisp.simulate.os, "sched_getaffinity")  # a platform without it
     monkeypatch.setattr(tisp.simulate.os, "cpu_count", lambda: None)
     assert worker_count(8, 10) == 1
 
@@ -359,7 +362,7 @@ def test_experiment_pool_size_is_clamped(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(tisp.simulate.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(tisp.simulate.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     serial, _ = run_decay_experiment(DECAY_SPEC, jobs=1)
     pooled, _ = run_decay_experiment(DECAY_SPEC, jobs=1000)

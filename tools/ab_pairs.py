@@ -9,8 +9,8 @@ bytecode cache of `pairing.side_envs`, filled by a tiny run of the
 workload.  Per end-to-end metric
 (direction and bound from CHANGE_DIR's BENCHMARK.json) it prints each
 side's median and [q1, q3], the median per-triple ratio of the change and
-of the null, the null's range, the triples the change won, the reading
-against the null's quartiles (`pairing.reading`) and `verdict`'s bound
+of the null, the null's [q1, q3], the triples the change won, the reading
+against those quartiles (`pairing.reading`) and `verdict`'s bound
 rule; then each side's failed operations and correct runs.  `--out FILE`
 writes the raw per-run results as JSON.  The exit status is 1 when a run
 fails or reports incorrect outputs.
@@ -49,10 +49,10 @@ def summarize(triples: list, spec: dict) -> list:
         base, change, null = ([t[side]["metrics"][name]["value"] for t in triples] for side in SIDES)
         rc, rn = ratios(base, change), ratios(base, null)
         wins = sum((c < b) if better == "lower" else (c > b) for b, c in zip(base, change))
-        (bm, bq1, bq3), (cm, cq1, cq3) = quartiles(base), quartiles(change)
+        (bm, bq1, bq3), (cm, cq1, cq3), (_, nq1, nq3) = quartiles(base), quartiles(change), quartiles(rn)
         lines.append(f"{name:14s} base {bm:.4g} [{bq1:.4g}, {bq3:.4g}]  change {cm:.4g} [{cq1:.4g}, "
                      f"{cq3:.4g}]  ratio {statistics.median(rc):.4f} null {statistics.median(rn):.4f} "
-                     f"[{min(rn):.4f}, {max(rn):.4f}]  change better {wins}/{len(base)}  -> "
+                     f"[{nq1:.4f}, {nq3:.4f}]  change better {wins}/{len(base)}  -> "
                      f"{reading(rc, rn, better)}, {verdict(base, change, better, bound)}")
     for side in SIDES:
         runs = [t[side] for t in triples]

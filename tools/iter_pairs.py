@@ -11,7 +11,7 @@ start and from its first two `gaussian_starts(..., 20, seed=i)`.  In each
 of 21 rounds each child runs one burst per kind, in `pairing.order`.  Per
 kind it prints the base's and the change's median and minimum
 us/iteration and their ratios, the median per-round ratio of the change
-and of the null, the null's range and the reading against the null's
+and of the null, the null's [q1, q3] and the reading against those
 quartiles (`pairing.reading`).  The exit status is 1 when the children's
 iteration counts differ for some kind.
 """
@@ -25,7 +25,7 @@ import statistics
 import subprocess
 import sys
 
-from pairing import SIDES, order, ratios, reading, side_envs
+from pairing import SIDES, order, quartiles, ratios, reading, side_envs
 
 # Runs in the checkout's own interpreter: one JSON line per burst request.
 CHILD = r"""
@@ -75,15 +75,15 @@ def burst(child: subprocess.Popen, kind: str) -> tuple:
 
 def summarize(base: list, change: list, null: list = ()) -> dict:
     """One kind's (iterations, seconds) bursts, side[i] run in round i: what
-    `main` prints (the null's median, range and reading None without null
+    `main` prints (the null's median, quartiles and reading None without null
     bursts), and whether every burst took the same number of iterations."""
     b, c, n = ([1e6 * s / it for it, s in side] for side in (base, change, null))
     out = {"base": (statistics.median(b), min(b)), "change": (statistics.median(c), min(c))}
     out["ratio"] = (out["change"][0] / out["base"][0], out["change"][1] / out["base"][1])
     rc, rn = ratios(b, c), ratios(b, n)
     out["round_ratio"] = statistics.median(rc)
-    out["null_round_ratio"], out["null_range"], out["reading"] = (
-        (statistics.median(rn), (min(rn), max(rn)), reading(rc, rn)) if rn else (None,) * 3)
+    out["null_round_ratio"], out["null_quartiles"], out["reading"] = (
+        (statistics.median(rn), quartiles(rn)[1:], reading(rc, rn)) if rn else (None,) * 3)
     out["same_iterations"] = len({it for it, _ in [*base, *change, *null]}) == 1
     return out
 
@@ -119,7 +119,7 @@ def main(argv=None) -> int:
               f"change median {s['change'][0]:.2f} min {s['change'][1]:.2f}  "
               f"ratio median {s['ratio'][0]:.3f} min {s['ratio'][1]:.3f}  per-round median "
               f"{s['round_ratio']:.3f} null {s['null_round_ratio']:.3f} "
-              f"[{s['null_range'][0]:.3f}, {s['null_range'][1]:.3f}]  -> {s['reading']}"
+              f"[{s['null_quartiles'][0]:.3f}, {s['null_quartiles'][1]:.3f}]  -> {s['reading']}"
               + ("" if s["same_iterations"] else "  ITERATION COUNTS DIFFER"))
     return 0 if same else 1
 
