@@ -153,9 +153,9 @@ def _parse_range(path: str, start: int, stop: int) -> np.ndarray:
                           encoding=locale.getpreferredencoding(False))
 
 
-def _packed(m: np.ndarray) -> bytes:
-    # a reading child's rows as it sends them: their shape (two int64), then float64 rows
-    return b"".join((np.array(m.shape, dtype=np.int64).tobytes(), np.ascontiguousarray(m).data))
+def _packed(m: np.ndarray) -> list:
+    # a reading child's rows as it sends them, uncopied: their shape (two int64), then float64 rows
+    return [np.array(m.shape, dtype=np.int64), np.ascontiguousarray(m).data]
 
 
 def _unpacked(sent: bytes) -> np.ndarray:
@@ -164,11 +164,11 @@ def _unpacked(sent: bytes) -> np.ndarray:
 
 
 def _in_ranges(ranges: list, here, there) -> list:
-    """[here(ranges[0])], then for each later range the bytes there(range)
-    that a forked child sent, or None where the pipe or the fork could not
-    be made or the child did not exit with status 0.  The children run
-    while this process runs here.  Each closes the read ends it inherits,
-    writes there(range) to its pipe and leaves by os._exit: no atexit
+    """[here(ranges[0])], then for each later range the bytes that a forked
+    child sent, the buffers there(range) in order, or None where the pipe or
+    the fork could not be made or the child did not exit with status 0.  The
+    children run while this process runs here.  Each closes the read ends it
+    inherits, writes there(range) to its pipe and leaves by os._exit: no atexit
     handler or buffer flush of this process runs twice.  Every child is
     reaped on every path; one still working when this process stops
     reading finds its pipe closed when it writes, and exits."""
@@ -197,7 +197,7 @@ def _in_ranges(ranges: list, here, there) -> list:
                     for fd in [r] + [fd for _, fd in children.values()]:
                         os.close(fd)
                     with open(w, "wb") as out:
-                        out.write(there(rng))
+                        out.writelines(there(rng))
                     status = 0
                 finally:
                     os._exit(status)
@@ -248,7 +248,7 @@ def _write_matrix(mat, f) -> None:
     cuts = [k * len(mat) // w for k in range(w + 1)]
     ranges = [mat[start:stop] for start, stop in zip(cuts, cuts[1:])]
     _, *sent = _in_ranges(ranges, lambda rows: f.writelines(_lines(rows)),
-                          lambda rows: "".join(_lines(rows)).encode())
+                          lambda rows: ["".join(_lines(rows)).encode()])
     for rows, text in zip(ranges[1:], sent):
         if text is None:
             f.writelines(_lines(rows))

@@ -96,9 +96,9 @@ def penalty_theta(spec, t):
     return out if out.ndim else float(out)
 
 
-def _penalty_z(spec: PenaltySpec, z: np.ndarray, lam: float | None) -> np.ndarray:
-    # `penalty_theta` without its checks, at magnitudes z = |t| of any shape
-    # and a resolved lam: the solver sums it over a stacked block of iterates
+def _penalty_z(spec: PenaltySpec, z: np.ndarray, lam: float | np.ndarray | None) -> np.ndarray:
+    # `penalty_theta` without its checks at magnitudes z = |t| of any shape and a resolved
+    # lam, or a (k, 1) column of one per row: solve sums it over a stacked block of iterates
     rule, aug = spec.rule, spec.augmentation
     if aug == "capped-l1":
         return np.minimum(lam * z, 0.5 * lam**2)

@@ -697,12 +697,12 @@ class IterateTrace:
     Error columns (from `error_metrics`) are present only when the problem
     carries beta_star.
     ``flagged`` lists iterations whose thresholding argument came within
-    1e-12 of a jump discontinuity of the rule.
+    1e-12 of a jump discontinuity of the rule at that iteration's threshold.
 
     `solve` appends the error columns per recorded row and the rest per
-    stacked block: the iteration numbers, fixed-point residuals, support
-    sizes and objectives of the pending rows, and the flagged iterations
-    among those whose gradient magnitudes it has buffered.
+    stacked block, whose rows carry their own iterations and thresholds: the
+    pending rows' iteration numbers, fixed-point residuals, support sizes and
+    objectives, and the flagged ones among the buffered gradient magnitudes.
     """
 
     has_errors: bool
@@ -807,8 +807,8 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
     rows' iteration numbers, residuals, support sizes (one count_nonzero)
     and objectives, `_BLOCK_ENTRIES` entries at most, and the untested
     gradient magnitudes, `_GRAZE_ENTRIES` at most, in one row-wise
-    `near_jump`.  A threshold change flushes both, so each row and each
-    magnitude is evaluated at the threshold it was made under.
+    `near_jump`.  Each row and magnitude carries its iteration number and the
+    threshold it was made under, where it is evaluated: a column under a schedule.
     """
     rule, schedule, alpha = config.rule, config.schedule, config.alpha
     tol, max_iter, record_every = config.tol, config.max_iter, config.record_every
@@ -822,34 +822,35 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
     trace = IterateTrace(has_errors=problem.beta_star is not None)
     lam_t = rule.lam if schedule is None else schedule.value(0)  # None for ridge and lr
     override = None if lam_t is None else lam_scale * lam_t  # Theta's threshold
-    jumps = th.discontinuities(rule_a, override)  # empty for continuous rules
-    pending = []  # (iteration, fp residual, iterate, y - Xs iterate) per row not yet in the trace
-    grazes = []  # gradient magnitudes of the last iterations, not yet tested
+    # empty for continuous rules; under a schedule, whose first lambda may be 0, the kind's at lambda 1
+    jumps = th.discontinuities(rule_a, override if schedule is None else 1.0)
+    pending = []  # (iteration, fp residual, iterate, y - Xs iterate, threshold) per row not yet in the trace
+    grazes = []  # (iteration, gradient magnitudes, threshold) per iteration not yet tested
     block_rows = max(1, _BLOCK_ENTRIES // max(problem.p + problem.n, 1))
     graze_rows = max(1, _GRAZE_ENTRIES // (problem.p + 16))
     reason = "max_iter"
 
-    def flush(last):
-        # the buffered gradient magnitudes, of iterations up to `last`: one
-        # row-wise test against the jumps they were made under
+    def flush():
+        # the buffered gradient magnitudes: one row-wise test at their thresholds' jumps
         if grazes:
-            hit = np.flatnonzero(th.near_jump(np.array(grazes), jumps, 1e-12))
-            trace.flagged.extend((hit + (last + 1 - len(grazes))).tolist())
+            its, zs, lams = zip(*grazes)
             grazes.clear()
+            at = jumps if schedule is None else th.discontinuities(rule_a, np.array(lams)[:, None])
+            trace.flagged.extend(its[i] for i in np.flatnonzero(th.near_jump(np.array(zs), at, 1e-12)).tolist())
         # the pending rows: their support sizes, and their objectives, one
         # evaluation of rule_a's penalty over alpha on the stacked iterates,
-        # at the threshold they were recorded under (row sums of a
+        # each row at the threshold it was recorded under (row sums of a
         # C-contiguous block equal each row's own sum bit for bit), and one
         # stacked 0.5*r @ r (each row's own dot)
         if pending:
-            its, res, betas, rs = zip(*pending)
+            its, res, betas, rs, lams = zip(*pending)
             pending.clear()
             trace.iterations.extend(its)
             trace.fp_residual.extend(res)
             block = np.array(betas)
             trace.support.extend(np.count_nonzero(block, axis=1).tolist())
-            pens = pen._penalty_z(pen_spec, np.abs(block, out=block), th.rule_lambda(rule_a, override))
-            pens = pens.sum(axis=1) / alpha
+            lam = lams[0] if schedule is None else np.array(lams)[:, None]  # one per row
+            pens = pen._penalty_z(pen_spec, np.abs(block, out=block), lam).sum(axis=1) / alpha
             R = np.array(rs)
             halves = np.matmul((0.5 * R)[:, None, :], R[:, :, None])[:, 0, 0]
             trace.objective.extend((halves + pens).tolist())
@@ -867,18 +868,13 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
         r = y - times(beta, nz)  # residual of the current iterate, one per iterate
         for it in range(1, max_iter + 1):
             if schedule is not None:
-                lam_next = schedule.value(it - 1)
-                if lam_next != lam_t:
-                    flush(it - 1)
-                    lam_t = lam_next
-                    override = lam_scale * lam_t
-                    jumps = th.discontinuities(rule_a, override)
+                override = lam_scale * schedule.value(it - 1)
 
             z, beta_new = _step(beta, r, nz, memo, alpha, rule_a, override, it)
             if jumps:
-                grazes.append(z)
+                grazes.append((it, z, override))
                 if len(grazes) >= graze_rows:
-                    flush(it)
+                    flush()
             fp_res = _sup_change(beta_new, beta, z, it)
             beta = beta_new
             nz = support(beta)
@@ -892,14 +888,14 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
                     trace.pred_err.append(errs["pred"])
                     trace.est_err.append(errs["est"])
                     trace.weighted_err.append(errs["weighted"])
-                pending.append((it, fp_res, beta, r))
+                pending.append((it, fp_res, beta, r, override))
                 if len(pending) >= block_rows:
-                    flush(it)
+                    flush()
 
             if done:
                 reason = "converged"
                 break
-        flush(it)
+        flush()
 
         # fixed-point residual at the final iterate, at the final threshold
         z, theta_v = _step(beta, r, nz, memo, alpha, rule_a, override, it)
@@ -915,7 +911,7 @@ def solve(problem: Problem, config: SolverConfig, start=None) -> SolveResult:
         iterations=it,
         rho=rho,
         theta_residual=theta_res,
-        final_lambda=lam_t,
+        final_lambda=lam_t if schedule is None else schedule.value(it - 1),
         objective=trace.objective[-1],  # the last iteration is always recorded
     )
 

@@ -189,16 +189,16 @@ def _lr_root(z, zeta, r):
 # apply / inverse
 # ---------------------------------------------------------------------------
 
-def rule_lambda(rule: ThresholdRule, lam_override: float | None = None) -> float | None:
-    """Lambda in force for one call: the override if given, else the rule's own;
-    None for ridge and lr.  ValueError for a template without lambda (a
-    lambda kind whose lam is None) when no override is given."""
+def rule_lambda(rule: ThresholdRule, lam_override: float | np.ndarray | None = None):
+    """Lambda in force for one call: the override if given (a float, or a (k, 1)
+    array of one per row), else the rule's own; None for ridge and lr.  ValueError
+    for a template without lambda (a lambda kind whose lam is None) and no override."""
     if rule.kind not in LAMBDA_KINDS:
         if lam_override is not None:
             raise ValueError(f"rule {rule.kind!r} has no threshold parameter to override")
         return None
     if lam_override is not None:
-        return float(lam_override)
+        return lam_override if isinstance(lam_override, np.ndarray) else float(lam_override)
     if rule.lam is None:
         raise ValueError(f"rule {rule.kind!r} has no lambda; use rule.with_lambda")
     return rule.lam
@@ -291,24 +291,26 @@ def inverse(rule: ThresholdRule, u: float) -> float:
     return u + zeta * r * u ** (r - 1.0)
 
 
-def discontinuities(rule: ThresholdRule, lam_override: float | None = None) -> tuple[float, ...]:
+def discontinuities(rule: ThresholdRule, lam_override: float | np.ndarray | None = None) -> tuple:
     """Positive |t| locations where the rule jumps (empty for continuous rules).
 
-    Theta jumps where Theta^{-1} is flat: the pieces of slope -1.
+    Theta jumps where Theta^{-1} is flat: the pieces of slope -1.  At a (k, 1)
+    column of lambdas, a column each, +inf where the piece has no width.
     """
     lam = rule_lambda(rule, lam_override)  # ridge and lr refuse an override
     if rule.kind == "lr":
         t0 = inverse(rule, 0.0)
         return (t0,) if t0 > 0 else ()
-    return tuple(q for _, _, m, q in integrand_pieces(rule, lam) if m == -1.0)
+    return tuple(np.where(hi > lo, q, math.inf) if isinstance(lam, np.ndarray) else q
+                 for lo, hi, m, q in integrand_pieces(rule, lam) if m == -1.0)
 
 
 def near_jump(z: np.ndarray, jumps, tol: float):
     """Whether some magnitude z_j = |t_j| lies within `tol` of a jump location.
 
     Row by row over the last axis: a 1-d z gives a Python bool, a stack of
-    rows a bool array with one entry per row.  One pass over z per jump,
-    through one scratch array; `jumps` is any sequence of finite locations.
+    rows a bool array with one entry per row.  One pass over z per jump, through
+    one scratch array; a jump is a location, or a column of one per row (+inf: none).
     """
     hit = np.zeros(z.shape[:-1], dtype=bool)
     if z.shape[-1] and len(jumps):
@@ -319,7 +321,7 @@ def near_jump(z: np.ndarray, jumps, tol: float):
     return bool(hit) if z.ndim == 1 else hit
 
 
-def integrand_pieces(rule: ThresholdRule, lam_override: float | None = None):
+def integrand_pieces(rule: ThresholdRule, lam_override: float | np.ndarray | None = None):
     """Pieces of s(u) = Theta^{-1}(u) - u on u > 0 as (lo, hi, slope, intercept).
 
     For the eight piecewise-linear kinds these pieces are the single source
@@ -330,8 +332,9 @@ def integrand_pieces(rule: ThresholdRule, lam_override: float | None = None):
     piecewise-linear rule needs only its pieces here.  lr is not piecewise
     linear and raises, as does a template without lambda and without an
     override (`rule_lambda`); the override is for the solve loop, which holds
-    Theta's threshold as a float, and for `contraction`.
-    Zero-width pieces are dropped.
+    Theta's threshold as a float, and for `contraction`.  At a (k, 1) column
+    of lambdas, lo, hi and the intercept hold in each row its own lambda's.
+    Zero-width pieces are dropped; at a column, those zero-width in every row.
     """
     if rule.kind == "lr":
         raise ValueError("lr integrand is not piecewise linear")
@@ -363,7 +366,8 @@ def integrand_pieces(rule: ThresholdRule, lam_override: float | None = None):
         pieces = [(0.0, g * lam, -1.0 / g, lam), (g * lam, inf, 0.0, 0.0)]
     else:
         raise AssertionError(kind)
-    return [(lo, hi, m, q) for (lo, hi, m, q) in pieces if hi > lo]
+    wide = np.any if isinstance(lam, np.ndarray) else bool
+    return [(lo, hi, m, q) for (lo, hi, m, q) in pieces if wide(hi > lo)]
 
 
 # ---------------------------------------------------------------------------

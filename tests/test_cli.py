@@ -233,6 +233,9 @@ def test_read_in_ranges_equals_np_loadtxt_and_reaps_every_child(tmp_path, forced
     path.write_bytes(repr_csv(np.random.default_rng(1).standard_normal((200, 7))))
     m = tisp.cli._loadtxt(str(path))
     assert m.tobytes() == np.loadtxt(str(path), delimiter=",").tobytes() and m.shape == (200, 7)
+    # a child writes the shape, then its rows from their own buffer, uncopied
+    header, rows = tisp.cli._packed(m)
+    assert rows.obj is m and tisp.cli._unpacked(b"".join((header, rows))).tobytes() == m.tobytes()
 
     # a later range refused: the csv reader reads the file and names the line
     path.write_bytes(path.read_bytes() + b"1,2,3,4,5,6,x\n")
@@ -265,7 +268,7 @@ def test_a_child_that_sends_the_wrong_bytes_sends_the_file_to_the_csv_reader(tmp
     path = tmp_path / "X.csv"
     path.write_bytes(repr_csv(np.random.default_rng(4).standard_normal((40, 3))))
     packed = tisp.cli._packed
-    monkeypatch.setattr(tisp.cli, "_packed", lambda m: mangle(m, packed(m)))  # each child's bytes
+    monkeypatch.setattr(tisp.cli, "_packed", lambda m: [mangle(m, b"".join(packed(m)))])  # each child's bytes
     assert tisp.cli._loadtxt(str(path)) is None
     m = tisp.cli.read_matrix(str(path))
     assert m.shape == (40, 3) and m.tobytes() == tisp.cli._read_csv(str(path)).tobytes()

@@ -55,3 +55,12 @@ def test_the_change_reads_against_the_null_range():
     assert s["reading"] == "moved slower"
     assert summarize(base, base, null)["reading"] == "not moved"
     assert summarize(base, base)["null_quartiles"] is summarize(base, base)["reading"] is None
+
+
+def test_kinds_with_a_schedule_keep_its_commas():
+    parse = iter_pairs.parse_kinds
+    assert parse("hard,soft,scad,mcp") == ["hard", "soft", "scad", "mcp"]
+    assert parse("soft@geometric:2,0.99,0.01") == ["soft@geometric:2,0.99,0.01"]
+    assert parse("hard,soft@geometric:2,0.99,.01,mcp@explicit:0,0.6,hard@constant:0.5") == [
+        "hard", "soft@geometric:2,0.99,.01", "mcp@explicit:0,0.6", "hard@constant:0.5"]
+    assert parse("0.5,hard") == ["0.5", "hard"]  # a number joins only a schedule

@@ -9,6 +9,7 @@ import tisp.solver
 from tisp.penalty import (
     AUGMENTATIONS,
     PenaltySpec,
+    _penalty_z,
     energy,
     penalty_hard,
     penalty_l0,
@@ -279,6 +280,28 @@ def test_quadrature_of_a_template_raises_at_zero_too():
                 with pytest.raises(ValueError, match="no lambda"):
                     call(template, 0.0)
             assert penalty_theta_quadrature(r, 0.0) == 0.0
+
+
+def test_penalty_at_a_lambda_column_equals_each_row_at_its_float():
+    # solve sums the penalty of a stacked block whose rows were recorded
+    # under different lambdas: at a (k, 1) column, each row must equal the
+    # float evaluation at its own lambda under ==, for every kind and every
+    # augmentation, with rows at lambda = 0 and magnitudes on the knots
+    rng = np.random.default_rng(31)
+    col = np.array([[0.0], [0.6], [1.7], [0.0], [0.6], [3.2]])
+    Z = rng.uniform(0.0, 8.0, (len(col), 40))
+    Z[:, :8] = [0.0, 0.6, 1.2, 1.7, 2.2, 3.2, 3.7 * 0.6, 2.5 * 1.7]  # on knots of some rows
+    specs = [PenaltySpec(r) for r in rule_catalog(lam=1.0, eta=0.5, gamma=2.5) if r.kind in LAMBDA_KINDS]
+    specs += [PenaltySpec(rule("berhu(lambda=1,eta=0)")), PenaltySpec(rule("hard(lambda=1)"), "capped-l1"),
+              PenaltySpec(rule("hard(lambda=1)"), "l0"), PenaltySpec(rule("hard-ridge(lambda=1,eta=0.5)"), "l0+l2")]
+    assert {s.augmentation for s in specs} == set(AUGMENTATIONS)
+    for spec in specs:
+        got = _penalty_z(spec, Z, col)
+        assert got.shape == Z.shape
+        for i, lam in enumerate(col[:, 0].tolist()):
+            want = _penalty_z(spec, Z[i], lam)
+            assert np.array_equal(got[i], want), (str(spec.rule), spec.augmentation, lam)
+            assert np.array_equal(want, penalty_theta(PenaltySpec(spec.rule.with_lambda(lam), spec.augmentation), Z[i]))
 
 
 def test_penalty_rejects_nonfinite_and_bad_override():

@@ -844,10 +844,11 @@ def test_recorded_objective_and_certificate_at_the_carried_residual():
 
 
 def test_recorded_objective_across_block_flushes(monkeypatch):
-    # solve sums the penalty of the recorded iterates per stacked block: at
-    # each threshold change of a schedule, every 2**16 entries (rows x (p + n))
-    # and at exit.  Every row, in every kind of block, must still carry the
-    # objective `energy` gives at the replayed iterate, and its support.
+    # solve sums the penalty of the recorded iterates per stacked block, each
+    # row at its own threshold: every 2**16 entries (rows x (p + n)) and at
+    # exit, and nowhere else, so a schedule's rows share blocks.  Every row,
+    # in every kind of block, must still carry the objective `energy` gives
+    # at the replayed iterate, and its support.
     # Iterates with at most p/32 nonzeros are multiplied over their support
     # (penalty._times) in solve, tisp_step and energy alike.
     flatnonzero = np.flatnonzero
@@ -888,7 +889,15 @@ def test_recorded_objective_across_block_flushes(monkeypatch):
         return out
 
     monkeypatch.setattr(tisp.solver.SupportMemo, "_rows", counting)
-    many_blocks = sparse_rows = 0
+    penalty_z = tisp.penalty._penalty_z
+    blocks = []  # rows per penalty evaluation
+
+    def counted_penalty(spec, z, lam):
+        blocks.append(len(z))
+        return penalty_z(spec, z, lam)
+
+    monkeypatch.setattr(tisp.penalty, "_penalty_z", counted_penalty)
+    many_blocks = sparse_rows = shared = 0
     for case in cases:
         n, p, y_scale, record_every, schedule, max_iter = case
         monkeypatch.setattr(tisp.solver, "_MEMO_ENTRIES",
@@ -902,9 +911,20 @@ def test_recorded_objective_across_block_flushes(monkeypatch):
             sched = schedule if r.kind in LAMBDA_KINDS else None
             cfg = SolverConfig(rule=r, schedule=sched, tol=1e-10, max_iter=max_iter,
                                record_every=record_every, augmentation=spec.augmentation)
+            blocks.clear()
             res = solve(prob, cfg)
             trace = res.trace
             last = res.iterations
+            # flushed only when a buffer is full (for a kind with jumps, also
+            # the graze buffer) and at exit
+            full = len(trace.iterations) // (tisp.solver._BLOCK_ENTRIES // (n + p))
+            if discontinuities(r, 1.0 if r.kind in LAMBDA_KINDS else None):
+                full += last // (tisp.solver._GRAZE_ENTRIES // (p + 16))
+            assert sum(blocks) == len(trace.iterations) and len(blocks) <= full + 1, (r.kind, case)
+            if sched is geometric and record_every == 1 and p == 25:
+                # fewer blocks than thresholds: a schedule's rows share them
+                assert len(blocks) < len({sched.value(t - 1) for t in trace.iterations}), r.kind
+                shared += 1
             assert trace.iterations == [t for t in range(1, last + 1)
                                         if t % record_every == 0 or t == last]
             assert len(trace.objective) == len(trace.iterations)
@@ -926,20 +946,25 @@ def test_recorded_objective_across_block_flushes(monkeypatch):
         if case in memo_entries:
             assert sum(grew > 0 for grew, _ in fills) >= 20 and any(dropped for _, dropped in fills)
     assert many_blocks >= 5
+    assert shared == 10  # the seven lambda kinds, and the three augmentations
     # each such row went through solve's residual and the replay's energy
     assert sparse_rows >= 300 and len(gathered) >= 2 * sparse_rows
 
 
 def test_trace_columns_and_grazes_across_flushes(monkeypatch):
     # solve stacks each recorded row's iteration, residual and support size,
-    # and tests the buffered gradient magnitudes for grazes, per block: at
-    # each threshold change, when the row or the graze buffer is full, and
+    # and tests the buffered gradient magnitudes for grazes, per block, each
+    # row at its own threshold: when the row or the graze buffer is full, and
     # at exit.  Every kind of flush must give the trace a per-iteration
     # replay gives: tisp_step, near_jump on each gradient point, and
     # np.count_nonzero.  On X = I at rho = 2 the gradient point is
     # 0.75 beta + y/2, so a coordinate with y_j = 2 lam sits on the jump at
     # lam at every iteration while it stays 0, and one with y_j = 2 lam_t
-    # grazes only at the iteration whose threshold is lam_t.
+    # grazes only at the iteration whose threshold is lam_t.  The last column
+    # of X is 0: its gradient magnitude stays 0, on the flat piece of width 0
+    # that hard has at lam = 0, which is no jump.  Under an explicit schedule
+    # a lam = 0 iteration makes the coordinate with y_j = 8 lam / 7 equal to
+    # 4 lam / 7, on the jump at lam at the next iteration.
     tested = []  # rows per stacked graze test
 
     def counting(z, jumps, tol):
@@ -947,14 +972,19 @@ def test_trace_columns_and_grazes_across_flushes(monkeypatch):
         return near_jump(z, jumps, tol)
 
     monkeypatch.setattr(tisp.solver.th, "near_jump", counting)
-    p, lam = 8, 0.5
+    p, lam = 10, 0.5
     schedule = LambdaSchedule.geometric(2.5, 0.9, lam)
     at = {t: 2.0 * schedule.value(t - 1) for t in (3, 7, 12)}  # grazes once, at t
-    y = np.array([10.0, -3.0, 2.0 * lam, 0.2, *at.values(), -0.7])
+    y = np.array([10.0, -3.0, 2.0 * lam, 0.2, *at.values(), -0.7, 8.0 * lam / 7.0, 0.3])
+    X = np.eye(p)
+    X[-1, -1] = 0.0
     lr = rule("lr(r=0.5,zeta=1)")
     cases = [(r, None) for r in (rule("hard(lambda=0.5)"), rule("hard-ridge(lambda=0.5,eta=0.5)"),
                                  rule("scad(lambda=0.5,a=3.7)"), rule("mcp(lambda=0.5,gamma=3)"))]
     cases += [(rule("hard(lambda=0.5)"), schedule), (rule("hard-ridge(lambda=0.5,eta=0.5)"), schedule)]
+    # a first threshold of 0 still tests the later ones; one of 0 between them
+    explicit = {LambdaSchedule.explicit([0.0, lam]): [2], LambdaSchedule.explicit([lam, 0.0, lam]): [1, 3]}
+    cases += [(rule("hard(lambda=0.5)"), sched) for sched in explicit]
     cases.append((lr, None))
     budgets = [(tisp.solver._GRAZE_ENTRIES, tisp.solver._BLOCK_ENTRIES), (3 * (p + 16), 5 * 2 * p)]
     flushes = []
@@ -965,7 +995,7 @@ def test_trace_columns_and_grazes_across_flushes(monkeypatch):
         yr = y.copy()
         if r is lr:
             yr[2] = 2.0 * discontinuities(lr)[0]  # on lr's jump while it stays 0
-        prob = Problem(np.eye(p), yr)
+        prob = Problem(X, yr)
         tested.clear()
         res = solve(prob, SolverConfig(rule=r, rho=2.0, tol=1e-10, schedule=sched,
                                        record_every=record_every))
@@ -990,6 +1020,8 @@ def test_trace_columns_and_grazes_across_flushes(monkeypatch):
         if discontinuities(r, r.lam):
             if sched is None:  # the coordinate on the jump grazes at every iteration
                 assert flagged == list(range(1, res.iterations + 1)), str(r)
+            elif sched in explicit:  # grazes after the lam = 0 iteration, none at it
+                assert flagged == explicit[sched], (str(r), sched)
             else:  # the scheduled grazes, then the one at the floor from where the schedule reaches it
                 floor_from = next(t for t in range(1, 100) if schedule.value(t - 1) == lam)
                 assert flagged == [*at, *range(floor_from, res.iterations + 1)], str(r)

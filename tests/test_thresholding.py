@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tisp.penalty import penalty_theta_quadrature
+from tisp.penalty import AUGMENTATIONS, PenaltySpec, penalty_theta, penalty_theta_quadrature
 from tisp.thresholding import (
     KINDS,
     LAMBDA_KINDS,
@@ -484,6 +484,70 @@ def test_discontinuities():
                 # Theta is zero at the jump and leaps to a fraction of it beyond
                 below, beyond = apply_vec(r, np.array([d, d * (1.0 + 1e-12)]))
                 assert below == 0.0 and beyond >= 0.1 * d, (str(r), d)
+
+
+def row(x, i, k):
+    """Row i of a piece's or a jump's entry at a column of k lambdas, as a float."""
+    return float(np.broadcast_to(x, (k, 1))[i, 0])
+
+
+def test_a_lambda_column_gives_each_row_its_scalar_pieces_and_jumps():
+    # the solve loop stacks rows made under different lambdas: at a (k, 1)
+    # column, row i of every piece of width there, and of every jump, is
+    # what the float call at lambda_i gives, under ==; rows at lambda = 0
+    # keep zero-width pieces, and their flat ones are no jump (+inf)
+    columns = [np.array([[0.0], [0.7], [0.0], [1.3], [2.5]]), np.array([[0.0], [0.0]]),
+               np.array([[0.45]])]
+    masked = 0
+    for r in CATALOG + SWEEP:
+        if r.kind not in LAMBDA_KINDS:
+            continue
+        for col in columns:
+            k = len(col)
+            pieces, jumps = integrand_pieces(r, col), discontinuities(r, col)
+            assert len(jumps) <= 1 and all(d.shape == (k, 1) for d in jumps), str(r)
+            for i, lam in enumerate(col[:, 0].tolist()):
+                wide = [(row(lo, i, k), row(hi, i, k), m, row(q, i, k)) for lo, hi, m, q in pieces
+                        if row(hi, i, k) > row(lo, i, k)]
+                assert wide == integrand_pieces(r, lam), (str(r), lam)
+                at = [row(d, i, k) for d in jumps]
+                assert [d for d in at if d != math.inf] == list(discontinuities(r, lam)), (str(r), lam)
+                masked += at == [math.inf]
+                assert lam > 0 or at in ([], [math.inf]), str(r)
+    assert masked >= 20  # hard and hard-ridge rows at lambda = 0
+    # a float lambda still gives Python floats
+    for r in CATALOG:
+        if r.kind in LAMBDA_KINDS:
+            assert all(type(v) is float for piece in integrand_pieces(r, 0.7) for v in piece), str(r)
+            assert all(type(v) is float for v in discontinuities(r, 0.7)), str(r)
+            assert all(type(v) is float for v in discontinuities(r, 0.0)), str(r)
+
+
+def test_every_lambda_kind_is_lambda_homogeneous():
+    # P(lam z; lam) = lam^2 P(z; 1), Theta(lam t; lam) = lam Theta(t; 1) and
+    # the jumps at lam are lam times those at 1: why one lambda per row of a
+    # stacked block is a broadcast and not a new formula
+    rng = np.random.default_rng(29)
+    t = rng.uniform(-6.0, 6.0, 400)
+    t[:3] = 0.0, 1e-300, -3.0
+    rules = [r for r in rule_catalog(lam=1.0, eta=0.5, gamma=2.5) if r.kind in LAMBDA_KINDS]
+    rules += [ThresholdRule("berhu", lam=1.0, eta=0.0), ThresholdRule("scad", lam=1.0, a=2.2),
+              ThresholdRule("mcp", lam=1.0, gamma=1.1), ThresholdRule("hard-ridge", lam=1.0, eta=3.0)]
+    specs = [PenaltySpec(r) for r in rules] + [
+        PenaltySpec(ThresholdRule("hard", lam=1.0), aug) for aug in ("capped-l1", "l0")] + [
+        PenaltySpec(ThresholdRule("hard-ridge", lam=1.0, eta=0.5), "l0+l2")]
+    assert {s.rule.kind for s in specs} == set(LAMBDA_KINDS) and {s.augmentation for s in specs} == set(AUGMENTATIONS)
+    for spec in specs:
+        r = spec.rule
+        for lam in (0.37, 1.7, 3.1, 1e-3, 250.0):
+            at_lam = PenaltySpec(r.with_lambda(lam), spec.augmentation)
+            tl = lam * t
+            scaled, unit = penalty_theta(at_lam, tl), lam * lam * penalty_theta(spec, t)
+            assert np.all(np.abs(scaled - unit) <= 1e-15 * np.maximum(np.abs(scaled), np.abs(unit))), (
+                str(r), spec.augmentation, lam)
+            theta_gap = np.abs(apply_vec(at_lam.rule, tl) - lam * apply_vec(r, t))
+            assert np.all(theta_gap <= 1e-13 * np.abs(tl)), (str(r), lam)
+            assert discontinuities(r, lam) == tuple(lam * d for d in discontinuities(r, 1.0)), str(r)
 
 
 def test_near_jump_equals_the_broadcast_test():

@@ -1,13 +1,15 @@
 """Interleaved per-iteration solve timing of two checkouts, with a null.
 
-    python3 tools/iter_pairs.py BASE_DIR CHANGE_DIR [--kinds hard,soft,scad,mcp]
+    python3 tools/iter_pairs.py BASE_DIR CHANGE_DIR [--kinds hard,soft,scad,mcp,soft@geometric:2,0.99,0.01]
 
 Starts one long-lived child per side of `pairing`'s triples, each importing
 `tisp` and criterion 6's instances (perfbench's `MultiStart.setup`) from
 its checkout, with the bytecode cache of `pairing.side_envs`.  A burst of
 one kind is 24 solves with `rule_catalog(lam=0.5)`'s rule of that kind at
 rho = 1.05 ||X||_2, tol 1e-10, max_iter 1500: each instance from the zero
-start and from its first two `gaussian_starts(..., 20, seed=i)`.  In each
+start and from its first two `gaussian_starts(..., 20, seed=i)`.  An entry
+KIND@SCHEDULE runs that rule's template (its lambda None) under
+`solver.parse_schedule(SCHEDULE)`, every iteration recorded.  In each
 of 21 rounds each child runs one burst per kind, in `pairing.order`.  Per
 kind it prints the base's and the change's median and minimum
 us/iteration and their ratios, the median per-round ratio of the change
@@ -29,7 +31,7 @@ from pairing import SIDES, order, quartiles, ratios, reading, side_envs
 
 # Runs in the checkout's own interpreter: one JSON line per burst request.
 CHILD = r"""
-import json, sys, time
+import dataclasses, json, sys, time
 import numpy as np
 from perfbench.workloads import MultiStart
 from tisp import solver, thresholding
@@ -42,9 +44,12 @@ instances = [(prob, 1.05 * solver.spectral_norm(prob.X),
              for i, prob in enumerate(ms.instances)]
 print("ready", flush=True)
 for line in sys.stdin:
-    rule = rules[line.strip()]
-    cfgs = [solver.SolverConfig(rule=rule, rho=rho, tol=1e-10, max_iter=1500)
-            for _, rho, _ in instances]
+    kind, _, text = line.strip().partition("@")
+    rule, schedule = rules[kind], None
+    if text:
+        rule, schedule = dataclasses.replace(rule, lam=None), solver.parse_schedule(text)
+    cfgs = [solver.SolverConfig(rule=rule, rho=rho, tol=1e-10, max_iter=1500, schedule=schedule,
+                                record_every=1) for _, rho, _ in instances]
     t0 = time.perf_counter()
     iterations = sum(solver.solve(prob, cfg, start=s).iterations
                      for (prob, _, starts), cfg in zip(instances, cfgs) for s in starts)
@@ -73,6 +78,19 @@ def burst(child: subprocess.Popen, kind: str) -> tuple:
     return tuple(json.loads(line))
 
 
+def parse_kinds(text: str) -> list:
+    """The --kinds entries, KIND or KIND@SCHEDULE: split at the commas, and a
+    piece that does not start with a letter (a schedule's next number) joined
+    back onto the entry before it."""
+    entries = []
+    for piece in text.split(","):
+        if entries and "@" in entries[-1] and not piece[:1].isalpha():
+            entries[-1] += "," + piece
+        else:
+            entries.append(piece)
+    return entries
+
+
 def summarize(base: list, change: list, null: list = ()) -> dict:
     """One kind's (iterations, seconds) bursts, side[i] run in round i: what
     `main` prints (the null's median, quartiles and reading None without null
@@ -94,7 +112,7 @@ def main(argv=None) -> int:
     ap.add_argument("change")
     ap.add_argument("--kinds", default="hard,soft,scad,mcp")
     args = ap.parse_args(argv)
-    kinds = args.kinds.split(",")
+    kinds = parse_kinds(args.kinds)
 
     with contextlib.ExitStack() as stack:  # on exit each child reads EOF and is waited for
         envs = stack.enter_context(side_envs(args.base, args.change))
