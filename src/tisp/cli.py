@@ -280,6 +280,7 @@ def cmd_solve(args) -> int:
         schedule=schedule,
         tol=args.tol,
         max_iter=args.max_iter,
+        record_every=1 if args.trace else args.max_iter,  # without --trace only the estimate's row
     )
     problem = Problem._own(X, y, beta_star=beta_star)  # the arrays just read: no copy
     result = solve(problem, config)

@@ -645,16 +645,19 @@ def _step(beta, r, nz, memo, alpha, rule_a, lam, it=1):
     g = r.dot(memo.Xs) if nz is None else memo.gradient(beta, r, nz)
     v = beta + (g if alpha == 1.0 else alpha * g)  # 1.0 * g == g: skip the multiply
     z = np.abs(v)
-    if z.size and not math.isfinite(np.maximum.reduce(z)):
+    # a non-finite entry makes v.v, a sum of terms >= 0, inf or NaN; only then,
+    # or past |v| ~ 1.3e154 where the square overflows, is v scanned
+    if not math.isfinite(v.dot(v)) and not np.isfinite(v).all():
         raise _nonfinite(it, z)
     return z, th._theta(rule_a, v, z, lam)
 
 
 def _sup_change(beta_new, beta, z, it):
     """||beta_new - beta||_inf; SolverError when beta_new is not finite.  A
-    non-finite beta_new makes the sup non-finite, so only then is it scanned."""
+    non-finite beta_new makes the sup non-finite, so only then is it scanned;
+    argmax returns the first NaN, so a NaN in the change reaches that test."""
     d = beta_new - beta
-    res = float(np.maximum.reduce(np.abs(d, out=d))) if d.size else 0.0
+    res = d.item(np.abs(d, out=d).argmax()) if d.size else 0.0
     if not math.isfinite(res) and not np.isfinite(beta_new).all():
         raise _nonfinite(it, z)
     return res

@@ -14,6 +14,7 @@ import pytest
 
 import tisp.cli
 import tisp.oracle
+import tisp.solver
 from tisp.cli import main
 from tisp.solver import TRACE_COLUMNS
 
@@ -63,6 +64,48 @@ def test_solve_writes_estimate_and_trace_files(capsys, tmp_path, scalar_files):
     lines = trace.read_text().splitlines()
     assert lines[0] == ",".join(TRACE_COLUMNS)
     assert lines[1].split(",")[4] != ""  # truth given, error columns filled
+
+
+@pytest.mark.parametrize("max_iter, code", [("10000", 0), ("7", 2)])
+def test_solve_without_trace_records_only_its_final_iterate(capsys, tmp_path, monkeypatch,
+                                                            max_iter, code):
+    # without --trace only the last iteration is recorded (record_every =
+    # max_iter); stdout, the --out bytes, stderr and the exit code are those
+    # of the solve that records every iteration for --trace
+    rng = np.random.default_rng(29)
+    X = rng.standard_normal((12, 6))
+    bstar = np.array([1.5, 0.0, 0.0, -2.0, 0.0, 0.0])
+    y = X @ bstar + 0.1 * rng.standard_normal(12)
+    paths = {}
+    for name, values in (("X", X), ("y", y), ("bstar", bstar)):
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text("\n".join(",".join(map(repr, np.atleast_1d(row).tolist()))
+                                         for row in values) + "\n")
+    results = []
+
+    def recording(problem, config, start=None):
+        results.append(tisp.solver.solve(problem, config, start))
+        return results[-1]
+
+    monkeypatch.setattr(tisp.cli, "solve", recording)
+    argv = ["solve", "--design", str(paths["X"]), "--response", str(paths["y"]),
+            "--rule", "hard(lambda=0.5)", "--beta-star", str(paths["bstar"]), "--max-iter", max_iter]
+    seen = {}
+    for trace in (False, True):
+        for out in (False, True):
+            est = tmp_path / f"est-{trace}-{out}.csv"
+            extra = (["--trace", str(tmp_path / "trace.csv")] if trace else []) + (
+                ["--out", str(est)] if out else [])
+            got = run(capsys, argv + extra)
+            seen[trace, out] = got + (est.read_bytes() if out else None,)
+            result = results[-1]
+            rows = result.iterations if trace else 1
+            assert result.trace.iterations == list(range(result.iterations - rows + 1, result.iterations + 1))
+            assert len(result.trace.objective) == len(result.trace.pred_err) == rows
+    assert seen[True, False] == seen[False, False] and seen[True, True] == seen[False, True]
+    assert seen[False, False][0] == code and seen[False, True][1] == ""
+    assert seen[False, True][3].decode() == seen[False, False][1]
+    assert len((tmp_path / "trace.csv").read_text().splitlines()) == results[-1].iterations + 1
 
 
 def test_solve_rho_below_norm_fails(capsys, scalar_files):

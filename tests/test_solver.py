@@ -248,6 +248,35 @@ def test_dot_spellings_give_the_matmul_bits():
         assert got.tobytes() == want.tobytes()
 
 
+def test_argmax_and_dot_scans_give_the_reduce_and_isfinite_answers():
+    # the sup change reads max |d| as d.item(d.argmax()) and the step tests
+    # v.v before it scans v: argmax returns the first NaN, and a non-finite
+    # entry makes v.v, a sum of terms >= 0, inf or NaN; a numpy that split
+    # them from np.maximum.reduce and np.isfinite would fail here first
+    def same_max(w):
+        d = np.abs(w)  # as in _sup_change: |.| holds no -0.0 that could tie with 0.0
+        return np.float64(d.item(d.argmax())).tobytes() == np.maximum.reduce(d).tobytes()
+
+    empty = np.array([])  # both refuse it, and _sup_change reads it as 0.0
+    for refuse in (empty.argmax, lambda: np.maximum.reduce(empty)):
+        with pytest.raises(ValueError):
+            refuse()
+    assert empty.dot(empty) == 0.0
+    rng = np.random.default_rng(29)
+    for size in (7, 400, 5000):
+        for _ in range(20):
+            v = rng.standard_normal(size) * 10.0 ** rng.integers(-320, 150, size)
+            assert same_max(v) and math.isfinite(v.dot(v))
+            for bad in (np.nan, np.inf, -np.inf):
+                for at in {0, size // 2, size - 1, int(rng.integers(size))}:
+                    w = v.copy()
+                    w[at] = bad
+                    assert same_max(w) and not math.isfinite(w.dot(w))
+            w = v.copy()
+            w[rng.choice(size, 3, replace=False)] = (np.inf, np.nan, -np.inf)
+            assert same_max(w) and not math.isfinite(w.dot(w))
+
+
 def test_scale_problem_roundtrip_and_refusal():
     prob = random_problem(1, n=10, p=4, y_scale=1.0)
     norm = spectral_norm(prob.X)
@@ -781,6 +810,93 @@ def test_solver_error_on_an_estimate_past_the_float_range():
             solve(prob, SolverConfig(rule=rule("soft(lambda=0)")))
     assert str(exc.value) == ("non-finite estimate: the iterate over rho=1.01e-200 passes the "
                               "float range; check the scaling of X and y")
+
+
+def special_vectors(rng, size):
+    """Seeded vectors of `size` entries with each special value in turn first,
+    in the middle and last: NaN, +-inf, -0.0 and subnormals."""
+    for special in (np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.5e-310):
+        for at in (0, size // 2, size - 1):
+            v = rng.standard_normal(size)
+            v[at] = special
+            yield v
+    yield rng.choice([0.0, -0.0, 5e-324, -5e-324, 1e-310], size)  # all zeros or subnormals
+
+
+def test_sup_change_is_the_reduced_maximum_of_the_absolute_change():
+    # the reference is the sup change as np.maximum.reduce reads it; a
+    # non-finite entry of the old iterate gives a non-finite sup, returned,
+    # one of the new iterate a SolverError
+    rng = np.random.default_rng(29)
+    sup_change = tisp.solver._sup_change
+    z = np.ones(3)
+    for size in (1, 2, 7, 40):
+        for special in special_vectors(rng, size):
+            for b0, b1 in ((special, rng.standard_normal(size)), (rng.standard_normal(size), special),
+                           (special, special[::-1].copy()), (-special, special)):
+                with np.errstate(invalid="ignore"):  # inf - inf, as the solve loop allows
+                    if not np.isfinite(b1).all():
+                        with pytest.raises(SolverError, match="non-finite iterate at iteration 4 "):
+                            sup_change(b1, b0, z, 4)
+                        continue
+                    want = float(np.maximum.reduce(np.abs(b1 - b0)))
+                    got = sup_change(b1.copy(), b0.copy(), z, 4)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert sup_change(np.array([]), np.array([]), z, 1) == 0.0
+    for at in (1, 3, 6):  # a NaN after a finite maximum still reaches the check
+        b1 = np.array([9.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        b1[at] = np.nan
+        with pytest.raises(SolverError, match="non-finite iterate at iteration 2 "):
+            sup_change(b1, np.zeros(7), z, 2)
+
+
+def test_step_raises_on_a_non_finite_gradient_point_wherever_it_sits():
+    # the finiteness test reads v.v first; a NaN or an inf anywhere in v
+    # raises, even under hard, which maps a NaN to 0.  A zero residual makes
+    # v = beta, so one entry of v is non-finite and the others near 1e200
+    memo, hard = Problem(np.eye(7) / 2.0, np.arange(7.0)).memo, rule("hard(lambda=1)")
+    for bad in (np.nan, np.inf, -np.inf):
+        for at in range(7):
+            beta = np.arange(1.0, 8.0) * 1e200
+            beta[at] = bad
+            with np.errstate(invalid="ignore", over="ignore"):
+                with pytest.raises(SolverError, match="non-finite iterate at iteration 5 "):
+                    tisp.solver._step(beta, np.zeros(7), None, memo, 1.0, hard, 1.0, 5)
+
+
+@pytest.mark.parametrize("text", ["hard(lambda=0.5)", "soft(lambda=0.5)", "scad(lambda=0.5)"])
+def test_a_gradient_point_whose_square_overflows_is_finite(text):
+    # y scaled by 2**665 (about 1.3e200) puts the gradient point near 1e200,
+    # where v.v overflows; the step must scan v, find it finite and go on.
+    # A power of two scales every float operation exactly, so the solve at
+    # y, lambda and tol scaled by it must give the unscaled solve's bits,
+    # scaled, whatever the overflowing objective reads
+    rng = np.random.default_rng(29)
+    X = rng.standard_normal((9, 5)) / 3.0
+    y = X @ np.array([3.0, 0.0, -2.0, 0.0, 0.25]) + 0.1 * rng.standard_normal(9)
+    scale = 2.0 ** 665
+    r = rule(text)
+    small = solve(Problem(X, y), SolverConfig(rule=r, tol=1e-10, max_iter=3000))
+    assert small.converged
+    big_rule = r.with_lambda(r.lam * scale)
+    big_prob = Problem(X, y * scale)
+    v = big_prob.y.dot(X) / small.rho  # the scaled gradient point at beta = 0, near 1e200
+    with np.errstate(over="ignore"):
+        assert math.isinf(v.dot(v)) and np.isfinite(v).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        big = solve(big_prob, SolverConfig(rule=big_rule, tol=1e-10 * scale, max_iter=3000))
+        scaled, _ = scale_problem(big_prob, small.rho)
+        step = tisp_step(small.beta * small.rho * scale, scaled, big_rule)
+    assert (big.reason, big.iterations, big.trace.flagged) == (small.reason, small.iterations,
+                                                               small.trace.flagged)
+    assert big.beta.tobytes() == (small.beta * scale).tobytes()
+    assert big.theta_residual == small.theta_residual * scale
+    assert big.trace.fp_residual == [x * scale for x in small.trace.fp_residual]
+    small_scaled, _ = scale_problem(Problem(X, y), small.rho)
+    want = tisp_step(small.beta * small.rho, small_scaled, r) * scale
+    assert step.tobytes() == want.tobytes()
 
 
 def test_trace_csv_columns_and_error_fields():
